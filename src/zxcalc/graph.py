@@ -165,17 +165,6 @@ class Diagram:
         except ValueError:
             raise InvariantError(f"no edge {a}-{b}") from None
 
-    def set_phase(self, v: int, phase: Phase) -> None:
-        if not self.types[v].is_spider():
-            raise InvariantError(f"vertex {v} is not a spider")
-        self.phases[v] = phase
-
-    def set_type(self, v: int, ty: VertexType) -> None:
-        """Swap a spider's colour in place (used by the colour-change rule)."""
-        if not (self.types[v].is_spider() and ty.is_spider()):
-            raise InvariantError("set_type only converts between spider colours")
-        self.types[v] = ty
-
     # ------------------------------------------------------------------
     # queries
 

@@ -10,42 +10,39 @@ derived pi-absorption through a phased spider).
 Every rule is sound up to a global scalar: for any match ``m`` on a valid
 diagram ``d``, ``evaluate(apply(d, m))`` equals ``evaluate(d)`` up to a
 nonzero complex factor.  This is enforced empirically by
-:mod:`zxcalc.rewrite.soundness` rather than by construction: matchers are
-deliberately conservative and reject shapes (self-loops where they would
+:mod:`zxcalc.rewrite.soundness` rather than by construction: left-hand sides
+are deliberately conservative and reject shapes (self-loops where they would
 change the semantics, parallel-edge corner cases) that were not verified.
 
-Matchers enumerate deterministically in ascending vertex-id order, and
-``apply`` never mutates its input: it re-validates the match against the
-diagram (raising :class:`StaleMatchError` if the structure moved underneath
-it) and returns a rewritten copy.
+Each (rule, direction) pair is one class that names its match ``roles`` and
+supplies three parts:
+
+* ``candidates(d)`` enumerates possible matches in ascending order.  It may
+  over-approximate (it prunes only by adjacency, neighbour counts, vertex
+  order and whether a vertex is a spider), but it must never miss a match;
+* ``holds(d, m)`` is the single statement of the left-hand side.  Roles
+  that the rule treats symmetrically are named in ascending vertex order,
+  so a mirrored match does not hold;
+* ``_rewrite(d, m)`` rewrites ``d`` in place.
+
+``find_matches`` keeps the candidates that hold, so matches come out
+deterministically, ascending in their vertex ids taken in the order of
+``roles``.  ``apply`` never mutates its input: it raises
+:class:`StaleMatchError` unless the match has this rule's name and roles and
+still holds, then returns a rewritten copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations
+from typing import Iterable, Iterator, Optional
 
 from ..graph import Diagram, VertexType
 from ..phase import Phase
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-RULE_NAMES = (
-    "S1",
-    "S2a",
-    "S2b",
-    "B1",
-    "B2",
-    "K1",
-    "K2",
-    "C",
-    "D1",
-    "D2",
-    "E",
-    "HOPF",
-    "A",
-)
 
 _CLIFFORD_PI = (Phase.zero(), Phase.pi())
 
@@ -70,12 +67,6 @@ class Match:
             if k == key:
                 return v
         raise KeyError(key)
-
-    def get(self, key: str, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
     @property
     def vertex_ids(self) -> list[int]:
@@ -102,35 +93,58 @@ def _spider(d: Diagram, v: int) -> bool:
     return v in d.types and d.types[v].is_spider()
 
 
-def _is_point(d: Diagram, v: int, ty: VertexType, phase: Optional[Phase] = None) -> bool:
-    """A point is a degree-1 spider of the given colour (and phase, if given)."""
-    return (
-        _spider(d, v)
-        and d.types[v] is ty
-        and d.degree(v) == 1
-        and (phase is None or d.phases[v] == phase)
-    )
+def _edge_ends(d: Diagram) -> dict[int, list[int]]:
+    """Every vertex's edge ends, in edge order, from one pass over the edges.
+
+    A self-loop lists the vertex twice, so ``len`` is the degree.
+    """
+    ends: dict[int, list[int]] = {v: [] for v in d.types}
+    for a, b in d.edges:
+        ends[a].append(b)
+        ends[b].append(a)
+    return ends
+
+
+def _around(d: Diagram, degree: int) -> Iterator[tuple[int, list[int]]]:
+    """Each spider of the given degree, ascending, with its distinct other
+    neighbours, ascending."""
+    ends = _edge_ends(d)
+    for v in d.vertices():
+        if len(ends[v]) == degree and d.types[v].is_spider():
+            yield v, sorted(set(ends[v]) - {v})
+
+
+def _linked_pairs(d: Diagram) -> list[tuple[int, int]]:
+    """The distinct vertex pairs u < v joined by at least one edge, ascending."""
+    return sorted({(a, b) if a < b else (b, a) for a, b in d.edges if a != b})
 
 
 class RewriteRule:
-    """Base class: a named, directed rewrite with matcher and applier."""
+    """Base class: a named, directed rewrite (see the module docstring)."""
 
     name: str = ""
     direction: str = FORWARD
+    roles: tuple[str, ...] = ()
 
-    def find_matches(self, d: Diagram) -> list[Match]:
+    def __init__(self, strict_scalars: bool = False):
+        self.strict_scalars = strict_scalars
+
+    def candidates(self, d: Diagram) -> Iterable[Match]:
         raise NotImplementedError
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         raise NotImplementedError
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         raise NotImplementedError
 
+    def find_matches(self, d: Diagram) -> list[Match]:
+        return [m for m in self.candidates(d) if self.holds(d, m)]
+
     def apply(self, d: Diagram, m: Match) -> Diagram:
-        if m.rule != self.name:
-            raise StaleMatchError(f"match for {m.rule} given to rule {self.name}")
-        if not self._valid(d, m):
+        if m.rule != self.name or {k for k, _ in m.data} != set(self.roles):
+            raise StaleMatchError(f"{m.summary()} is not a match for {self!r}")
+        if not self.holds(d, m):
             raise StaleMatchError(f"{m.summary()} no longer applies")
         out = d.copy()
         self._rewrite(out, m)
@@ -148,26 +162,16 @@ class FuseRule(RewriteRule):
     """Adjacent same-colour spiders fuse; phases add, connecting edges vanish."""
 
     name = "S1"
+    roles = ("u", "v")
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        vs = d.vertices()
-        for i, u in enumerate(vs):
-            if not _spider(d, u):
-                continue
-            for v in vs[i + 1 :]:
-                if (
-                    _spider(d, v)
-                    and d.types[u] is d.types[v]
-                    and d.edge_count(u, v) >= 1
-                ):
-                    out.append(_match(self.name, u=u, v=v))
-        return out
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d))
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]
         return (
-            _spider(d, u)
+            u < v
+            and _spider(d, u)
             and _spider(d, v)
             and d.types[u] is d.types[v]
             and d.edge_count(u, v) >= 1
@@ -192,32 +196,27 @@ class UnfuseRule(RewriteRule):
 
     The match carries the legs that move to the fresh spider (as a tuple of
     (neighbour, count) pairs) and the phase the fresh spider takes with it.
-    ``find_matches`` enumerates a canonical bounded family: the empty split
+    ``candidates`` enumerates a canonical bounded family: the empty split
     (detach the full phase as a fresh point) and every single-leg split.
     Replay scripts build richer matches with :func:`unfuse_match`.
     """
 
     name = "S1"
     direction = BACKWARD
+    roles = ("vertex", "legs", "new_phase")
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for v in d.vertices():
-            if not _spider(d, v):
-                continue
-            out.append(unfuse_match(v, (), d.phases[v]))
-            for w in sorted(set(d.neighbors(v))):
-                out.append(unfuse_match(v, ((w, 1),), Phase.zero()))
-        return out
+    def candidates(self, d: Diagram) -> Iterator[Match]:
+        ends = _edge_ends(d)
+        for v in sorted(d.phases):  # the spiders
+            yield unfuse_match(v, (), d.phases[v])
+            for w in sorted(set(ends[v]) - {v}):
+                yield unfuse_match(v, ((w, 1),), Phase.zero())
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
-        if not _spider(d, v):
-            return False
-        for w, count in m["legs"]:
-            if w == v or d.edge_count(v, w) < count:
-                return False
-        return True
+        return _spider(d, v) and all(
+            w != v and d.edge_count(v, w) >= count for w, count in m["legs"]
+        )
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
@@ -244,20 +243,12 @@ class IdentityRule(RewriteRule):
     """A phase-0 spider with exactly two plain legs is just a wire."""
 
     name = "S2a"
+    roles = ("vertex",)
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for v in d.vertices():
-            if (
-                _spider(d, v)
-                and d.phases[v].is_zero()
-                and d.degree(v) == 2
-                and d.self_loops(v) == 0
-            ):
-                out.append(_match(self.name, vertex=v))
-        return out
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, vertex=v) for v, _ in _around(d, 2))
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
         return (
             _spider(d, v)
@@ -277,15 +268,13 @@ class LoopRule(RewriteRule):
     """Remove a plain self-loop from a spider (yanking a bent wire straight)."""
 
     name = "S2b"
+    roles = ("vertex",)
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        return [
-            _match(self.name, vertex=v)
-            for v in d.vertices()
-            if _spider(d, v) and d.self_loops(v) >= 1
-        ]
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        looped = sorted({a for a, b in d.edges if a == b})
+        return (_match(self.name, vertex=v) for v in looped)
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
         return _spider(d, v) and d.self_loops(v) >= 1
 
@@ -308,27 +297,12 @@ class LoopRule(RewriteRule):
 class _PointCopyRule(RewriteRule):
     point_phase: Phase
     spider_phase_zero: bool  # if False, any spider phase is admitted
+    roles = ("point", "spider")
 
-    def __init__(self, strict_scalars: bool = False):
-        self.strict_scalars = strict_scalars
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, point=p, spider=s) for p, (s,) in _around(d, 1))
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for p in d.vertices():
-            if not _spider(d, p) or d.degree(p) != 1 or d.phases[p] != self.point_phase:
-                continue
-            (edge,) = d.incident(p)
-            s = _other_end(edge, p)
-            if s == p or not _spider(d, s):
-                continue
-            if d.types[s] is not d.types[p].opposite:
-                continue
-            if self.spider_phase_zero and not d.phases[s].is_zero():
-                continue
-            out.append(_match(self.name, point=p, spider=s))
-        return out
-
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         p, s = m["point"], m["spider"]
         return (
             _spider(d, p)
@@ -390,45 +364,25 @@ class PiCommuteRule(RewriteRule):
     """
 
     name = "K2"
+    roles = ("pi_vertex", "spider")
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for x in d.vertices():
-            if not (
-                _spider(d, x)
-                and d.phases[x].is_pi()
-                and d.degree(x) == 2
-                and d.self_loops(x) == 0
-            ):
-                continue
-            e1, e2 = d.incident(x)
-            ends = sorted((_other_end(e1, x), _other_end(e2, x)))
-            if ends[0] == ends[1]:
-                continue
+    def candidates(self, d: Diagram) -> Iterator[Match]:
+        for x, ends in _around(d, 2):
             for s in ends:
-                if (
-                    _spider(d, s)
-                    and d.types[s] is d.types[x].opposite
-                    and d.self_loops(s) == 0
-                ):
-                    out.append(_match(self.name, pi_vertex=x, spider=s))
-        return out
+                yield _match(self.name, pi_vertex=x, spider=s)
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         x, s = m["pi_vertex"], m["spider"]
-        if not (
+        # degree 2 with a single edge to s: no self-loop, other leg elsewhere
+        return (
             _spider(d, x)
             and _spider(d, s)
             and d.phases[x].is_pi()
             and d.degree(x) == 2
-            and d.self_loops(x) == 0
             and d.edge_count(x, s) == 1
             and d.types[s] is d.types[x].opposite
             and d.self_loops(s) == 0
-        ):
-            return False
-        ends = [_other_end(e, x) for e in d.incident(x)]
-        return len(set(ends)) == 2
+        )
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         x, s = m["pi_vertex"], m["spider"]
@@ -449,59 +403,41 @@ class PiCommuteRule(RewriteRule):
 # B2: the bialgebra square
 
 
+def _corner(d: Diagram, v: int, ty: VertexType) -> bool:
+    """A phase-0 spider of colour ty with three plain legs."""
+    return (
+        _spider(d, v)
+        and d.types[v] is ty
+        and d.phases[v].is_zero()
+        and d.degree(v) == 3
+        and d.self_loops(v) == 0
+    )
+
+
 class BialgebraRule(RewriteRule):
     """Fig-style 2x2 bialgebra: a connected Z/X pair of degree 3 each
-    rewrites to the complete bipartite square on four fresh spiders
-    (forward), and back (backward).
+    rewrites to the complete bipartite square on four fresh spiders.
     """
 
     name = "B2"
+    roles = ("z", "x")
 
-    def __init__(self, direction: str = FORWARD):
-        self.direction = direction
+    def candidates(self, d: Diagram) -> Iterator[Match]:
+        corners = dict(_around(d, 3))
+        for z, others in corners.items():
+            for x in others:
+                if x in corners:
+                    yield _match(self.name, z=z, x=x)
 
-    # -- forward: pair -> K22
-
-    def _pair_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for z in d.vertices():
-            if not (
-                _spider(d, z)
-                and d.types[z] is VertexType.Z
-                and d.phases[z].is_zero()
-                and d.degree(z) == 3
-                and d.self_loops(z) == 0
-            ):
-                continue
-            for x in sorted(set(d.neighbors(z))):
-                if (
-                    _spider(d, x)
-                    and d.types[x] is VertexType.X
-                    and d.phases[x].is_zero()
-                    and d.degree(x) == 3
-                    and d.self_loops(x) == 0
-                    and d.edge_count(z, x) == 1
-                ):
-                    out.append(_match(self.name, z=z, x=x))
-        return out
-
-    def _pair_valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         z, x = m["z"], m["x"]
         return (
-            _spider(d, z)
-            and _spider(d, x)
-            and d.types[z] is VertexType.Z
-            and d.types[x] is VertexType.X
-            and d.phases[z].is_zero()
-            and d.phases[x].is_zero()
-            and d.degree(z) == 3
-            and d.degree(x) == 3
-            and d.self_loops(z) == 0
-            and d.self_loops(x) == 0
+            _corner(d, z, VertexType.Z)
+            and _corner(d, x, VertexType.X)
             and d.edge_count(z, x) == 1
         )
 
-    def _pair_rewrite(self, d: Diagram, m: Match) -> None:
+    def _rewrite(self, d: Diagram, m: Match) -> None:
         z, x = m["z"], m["x"]
         z_legs = [_other_end(e, z) for e in d.incident(z) if x not in e]
         x_legs = [_other_end(e, x) for e in d.incident(x) if z not in e]
@@ -515,73 +451,41 @@ class BialgebraRule(RewriteRule):
             for zf in zs:
                 d.add_edge(xf, zf)
 
-    # -- backward: K22 -> pair
 
-    def _square_matches(self, d: Diagram) -> list[Match]:
-        def candidate(v, ty):
-            return (
-                _spider(d, v)
-                and d.types[v] is ty
-                and d.phases[v].is_zero()
-                and d.degree(v) == 3
-                and d.self_loops(v) == 0
-            )
+class BialgebraBackwardRule(RewriteRule):
+    """B2 read right to left: the square on x1, x2, z1, z2, each corner with
+    one leg leaving it, folds back into a connected Z/X pair.
+    """
 
-        xs = [v for v in d.vertices() if candidate(v, VertexType.X)]
-        zs = [v for v in d.vertices() if candidate(v, VertexType.Z)]
+    name = "B2"
+    direction = BACKWARD
+    roles = ("x1", "x2", "z1", "z2")
+
+    def candidates(self, d: Diagram) -> list[Match]:
+        corners = dict(_around(d, 3))
         out = []
-        for i, x1 in enumerate(xs):
-            for x2 in xs[i + 1 :]:
-                for j, z1 in enumerate(zs):
-                    for z2 in zs[j + 1 :]:
-                        if all(
-                            d.edge_count(a, b) == 1
-                            for a in (x1, x2)
-                            for b in (z1, z2)
-                        ):
-                            quad = {x1, x2, z1, z2}
-                            outer = []
-                            ok = True
-                            for v in (x1, x2, z1, z2):
-                                stubs = [
-                                    _other_end(e, v)
-                                    for e in d.incident(v)
-                                    if _other_end(e, v) not in quad
-                                ]
-                                if len(stubs) != 1:
-                                    ok = False
-                                    break
-                                outer.append(stubs[0])
-                            if ok:
-                                out.append(
-                                    _match(self.name, x1=x1, x2=x2, z1=z1, z2=z2)
-                                )
-        return out
+        for x1, others in corners.items():
+            for z1, z2 in combinations([z for z in others if z in corners], 2):
+                for x2 in set(corners[z1]) & set(corners[z2]):
+                    if x2 > x1 and x2 in corners:
+                        out.append(_match(self.name, x1=x1, x2=x2, z1=z1, z2=z2))
+        return sorted(out, key=lambda m: m.data)
 
-    def _square_valid(self, d: Diagram, m: Match) -> bool:
-        try:
-            x1, x2, z1, z2 = m["x1"], m["x2"], m["z1"], m["z2"]
-        except KeyError:
-            return False
-        for v, ty in ((x1, VertexType.X), (x2, VertexType.X), (z1, VertexType.Z), (z2, VertexType.Z)):
-            if not (
-                _spider(d, v)
-                and d.types[v] is ty
-                and d.phases[v].is_zero()
-                and d.degree(v) == 3
-                and d.self_loops(v) == 0
-            ):
-                return False
-        if not all(d.edge_count(a, b) == 1 for a in (x1, x2) for b in (z1, z2)):
-            return False
-        quad = {x1, x2, z1, z2}
-        for v in quad:
-            stubs = [u for u in d.neighbors(v) if u not in quad]
-            if len(stubs) != 1:
-                return False
-        return True
+    def holds(self, d: Diagram, m: Match) -> bool:
+        x1, x2, z1, z2 = m["x1"], m["x2"], m["z1"], m["z2"]
+        # with every x-z edge single, a corner's third leg stays inside the
+        # square only as an x1-x2 or z1-z2 edge
+        return (
+            x1 < x2
+            and z1 < z2
+            and all(_corner(d, v, VertexType.X) for v in (x1, x2))
+            and all(_corner(d, v, VertexType.Z) for v in (z1, z2))
+            and all(d.edge_count(a, b) == 1 for a in (x1, x2) for b in (z1, z2))
+            and d.edge_count(x1, x2) == 0
+            and d.edge_count(z1, z2) == 0
+        )
 
-    def _square_rewrite(self, d: Diagram, m: Match) -> None:
+    def _rewrite(self, d: Diagram, m: Match) -> None:
         x1, x2, z1, z2 = m["x1"], m["x2"], m["z1"], m["z2"]
         quad = {x1, x2, z1, z2}
         outer = {}
@@ -597,22 +501,6 @@ class BialgebraRule(RewriteRule):
         d.add_edge(x, outer[z1])
         d.add_edge(x, outer[z2])
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        if self.direction == FORWARD:
-            return self._pair_matches(d)
-        return self._square_matches(d)
-
-    def _valid(self, d: Diagram, m: Match) -> bool:
-        if self.direction == FORWARD:
-            return self._pair_valid(d, m)
-        return self._square_valid(d, m)
-
-    def _rewrite(self, d: Diagram, m: Match) -> None:
-        if self.direction == FORWARD:
-            self._pair_rewrite(d, m)
-        else:
-            self._square_rewrite(d, m)
-
 
 # ----------------------------------------------------------------------
 # C: colour change
@@ -623,74 +511,65 @@ class ColorChangeRule(RewriteRule):
 
     Forward turns an X spider into a Z spider with a fresh H on each plain
     edge (self-loops carry an H pair that cancels, so they stay untouched).
-    Backward strips the H off every leg of a Z spider and flips its colour.
     """
 
     name = "C"
+    roles = ("vertex",)
 
-    def __init__(self, direction: str = FORWARD):
-        self.direction = direction
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, vertex=v) for v in d.vertices())
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        if self.direction == FORWARD:
-            for v in d.vertices():
-                if _spider(d, v) and d.types[v] is VertexType.X:
-                    out.append(_match(self.name, vertex=v))
-            return out
-        for v in d.vertices():
-            if not (_spider(d, v) and d.types[v] is VertexType.Z):
-                continue
-            hs = self._leg_hadamards(d, v)
-            if hs is not None and hs:
-                out.append(_match(self.name, vertex=v, hadamards=tuple(hs)))
-        return out
-
-    @staticmethod
-    def _leg_hadamards(d: Diagram, v: int) -> Optional[list[int]]:
-        """The distinct H vertices on every plain leg of v, or None."""
-        hs = []
-        for e in d.incident(v):
-            w = _other_end(e, v)
-            if w == v:
-                continue
-            if (
-                d.types.get(w) is not VertexType.H
-                or d.edge_count(v, w) != 1
-                or w in hs
-            ):
-                return None
-            far = [u for u in d.neighbors(w) if u != v]
-            if len(far) != 1:  # H loops back onto v; unverified shape
-                return None
-            hs.append(w)
-        return hs
-
-    def _valid(self, d: Diagram, m: Match) -> bool:
-        v = m["vertex"]
-        if self.direction == FORWARD:
-            return _spider(d, v) and d.types[v] is VertexType.X
-        if not (_spider(d, v) and d.types[v] is VertexType.Z):
-            return False
-        hs = self._leg_hadamards(d, v)
-        return hs is not None and tuple(hs) == m["hadamards"] and len(hs) > 0
+    def holds(self, d: Diagram, m: Match) -> bool:
+        return d.types.get(m["vertex"]) is VertexType.X
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
-        if self.direction == FORWARD:
-            d.types[v] = VertexType.Z
-            for e in [e for e in d.incident(v) if _other_end(e, v) != v]:
-                w = _other_end(e, v)
-                d.remove_edge(v, w)
-                h = d.add_vertex(VertexType.H)
-                d.add_edge(v, h)
-                d.add_edge(h, w)
-        else:
-            for h in m["hadamards"]:
-                (far,) = [u for u in d.neighbors(h) if u != v]
-                d.remove_vertex(h)
-                d.add_edge(v, far)
-            d.types[v] = VertexType.X
+        d.types[v] = VertexType.Z
+        for e in [e for e in d.incident(v) if _other_end(e, v) != v]:
+            w = _other_end(e, v)
+            d.remove_edge(v, w)
+            h = d.add_vertex(VertexType.H)
+            d.add_edge(v, h)
+            d.add_edge(h, w)
+
+
+class ColorChangeBackwardRule(RewriteRule):
+    """C read right to left: strip the H off every plain leg of a Z spider
+    and flip its colour.  The match lists those H vertices in edge order.
+    """
+
+    name = "C"
+    direction = BACKWARD
+    roles = ("vertex", "hadamards")
+
+    def candidates(self, d: Diagram) -> Iterator[Match]:
+        ends = _edge_ends(d)
+        for v in d.vertices():
+            hs = tuple(w for w in ends[v] if d.types[w] is VertexType.H)
+            if hs:
+                yield _match(self.name, vertex=v, hadamards=hs)
+
+    def holds(self, d: Diagram, m: Match) -> bool:
+        v, hs = m["vertex"], m["hadamards"]
+        if d.types.get(v) is not VertexType.Z or not hs:
+            return False
+        legs = tuple(_other_end(e, v) for e in d.incident(v) if e != (v, v))
+        # each H is joined to v once and its other leg leaves v: an H that
+        # loops back onto v is an unverified shape
+        return legs == hs and all(
+            d.types[h] is VertexType.H
+            and d.edge_count(v, h) == 1
+            and sum(u != v for u in d.neighbors(h)) == 1
+            for h in hs
+        )
+
+    def _rewrite(self, d: Diagram, m: Match) -> None:
+        v = m["vertex"]
+        for h in m["hadamards"]:
+            (far,) = [u for u in d.neighbors(h) if u != v]
+            d.remove_vertex(h)
+            d.add_edge(v, far)
+        d.types[v] = VertexType.X
 
 
 # ----------------------------------------------------------------------
@@ -706,31 +585,26 @@ class ScalarPairRule(RewriteRule):
     """
 
     name = "D1"
+    roles = ("p", "q")
 
-    def __init__(self, strict_scalars: bool = False):
-        self.strict_scalars = strict_scalars
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, p=p, q=q) for p, (q,) in _around(d, 1) if p < q)
 
-    def _shape_ok(self, d: Diagram, p: int, q: int) -> bool:
-        if not (_spider(d, p) and _spider(d, q)):
-            return False
-        if d.types[q] is not d.types[p].opposite:
-            return False
-        if d.degree(p) != 1 or d.degree(q) != 1 or d.edge_count(p, q) != 1:
+    def holds(self, d: Diagram, m: Match) -> bool:
+        p, q = m["p"], m["q"]
+        if not (
+            p < q
+            and _spider(d, p)
+            and _spider(d, q)
+            and d.types[q] is d.types[p].opposite
+            and d.degree(p) == 1
+            and d.degree(q) == 1
+            and d.edge_count(p, q) == 1
+        ):
             return False
         if self.strict_scalars:
             return d.phases[p].is_zero() or d.phases[q].is_zero()
         return d.phases[p] in _CLIFFORD_PI or d.phases[q] in _CLIFFORD_PI
-
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for p in d.vertices():
-            for q in sorted(set(d.neighbors(p))):
-                if p < q and self._shape_ok(d, p, q):
-                    out.append(_match(self.name, p=p, q=q))
-        return out
-
-    def _valid(self, d: Diagram, m: Match) -> bool:
-        return self._shape_ok(d, m["p"], m["q"])
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         d.remove_vertex(m["p"])
@@ -750,9 +624,15 @@ class ScalarLoopRule(RewriteRule):
     """
 
     name = "D2"
+    roles = ("vertex",)
 
-    def __init__(self, strict_scalars: bool = False):
-        self.strict_scalars = strict_scalars
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        ends = _edge_ends(d)
+        isolated = (v for v in d.vertices() if all(w == v for w in ends[v]))
+        return (_match(self.name, vertex=v) for v in isolated)
+
+    def holds(self, d: Diagram, m: Match) -> bool:
+        return self._shape(d, m["vertex"]) is not None
 
     def _shape(self, d: Diagram, v: int) -> Optional[str]:
         if v not in d.types:
@@ -768,16 +648,6 @@ class ScalarLoopRule(RewriteRule):
         if self.strict_scalars:
             return "two" if phase.is_zero() else None
         return None if phase.is_pi() else "nonzero"
-
-    def find_matches(self, d: Diagram) -> list[Match]:
-        return [
-            _match(self.name, vertex=v)
-            for v in d.vertices()
-            if self._shape(d, v) is not None
-        ]
-
-    def _valid(self, d: Diagram, m: Match) -> bool:
-        return self._shape(d, m["vertex"]) is not None
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         kind = self._shape(d, m["vertex"])
@@ -801,44 +671,31 @@ class SupplementarityRule(RewriteRule):
     """
 
     name = "E"
+    roles = ("center", "p1", "p2")
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        for t in d.vertices():
-            if not (
-                _spider(d, t)
-                and d.phases[t] in _CLIFFORD_PI
-                and d.degree(t) == 3
-                and d.self_loops(t) == 0
-            ):
-                continue
-            colour = d.types[t].opposite
-            points = sorted(
-                w
-                for w in set(d.neighbors(t))
-                if _is_point(d, w, colour, Phase.pi())
-            )
-            for i, p1 in enumerate(points):
-                for p2 in points[i + 1 :]:
-                    out.append(_match(self.name, center=t, p1=p1, p2=p2))
-        return out
+    def candidates(self, d: Diagram) -> Iterator[Match]:
+        for t, ends in _around(d, 3):
+            for p1, p2 in combinations(ends, 2):
+                yield _match(self.name, center=t, p1=p1, p2=p2)
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         t, p1, p2 = m["center"], m["p1"], m["p2"]
         if not (
-            _spider(d, t)
+            p1 < p2
+            and _spider(d, t)
             and d.phases[t] in _CLIFFORD_PI
             and d.degree(t) == 3
             and d.self_loops(t) == 0
         ):
             return False
         colour = d.types[t].opposite
-        return (
-            _is_point(d, p1, colour, Phase.pi())
-            and _is_point(d, p2, colour, Phase.pi())
-            and d.edge_count(t, p1) == 1
-            and d.edge_count(t, p2) == 1
-            and p1 != p2
+        return all(
+            _spider(d, p)
+            and d.types[p] is colour
+            and d.phases[p].is_pi()
+            and d.degree(p) == 1
+            and d.edge_count(t, p) == 1
+            for p in (p1, p2)
         )
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
@@ -862,26 +719,16 @@ class HopfRule(RewriteRule):
     """A Z and an X spider joined by exactly two parallel edges disconnect."""
 
     name = "HOPF"
+    roles = ("u", "v")
 
-    def find_matches(self, d: Diagram) -> list[Match]:
-        out = []
-        vs = d.vertices()
-        for i, u in enumerate(vs):
-            if not _spider(d, u):
-                continue
-            for v in vs[i + 1 :]:
-                if (
-                    _spider(d, v)
-                    and d.types[v] is d.types[u].opposite
-                    and d.edge_count(u, v) == 2
-                ):
-                    out.append(_match(self.name, u=u, v=v))
-        return out
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d))
 
-    def _valid(self, d: Diagram, m: Match) -> bool:
+    def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]
         return (
-            _spider(d, u)
+            u < v
+            and _spider(d, u)
             and _spider(d, v)
             and d.types[v] is d.types[u].opposite
             and d.edge_count(u, v) == 2
@@ -896,35 +743,36 @@ class HopfRule(RewriteRule):
 # ----------------------------------------------------------------------
 # registry
 
+_RULES: dict[tuple[str, str], type[RewriteRule]] = {
+    (cls.name, cls.direction): cls
+    for cls in (
+        FuseRule,
+        IdentityRule,
+        LoopRule,
+        CopyRule,
+        BialgebraRule,
+        PiCopyRule,
+        PiCommuteRule,
+        ColorChangeRule,
+        ScalarPairRule,
+        ScalarLoopRule,
+        SupplementarityRule,
+        HopfRule,
+        AbsorbRule,
+        UnfuseRule,
+        BialgebraBackwardRule,
+        ColorChangeBackwardRule,
+    )
+}
+
+# every rule has a forward direction, listed first
+RULE_NAMES = tuple(dict.fromkeys(name for name, _ in _RULES))
+
 
 def get_rule(name: str, direction: str = FORWARD, strict_scalars: bool = False) -> RewriteRule:
     """Look up a rule instance by name and direction."""
-    if name == "S1":
-        return FuseRule() if direction == FORWARD else UnfuseRule()
-    if direction == BACKWARD and name not in ("B2", "C"):
-        raise ValueError(f"rule {name} has no backward direction")
-    if name == "S2a":
-        return IdentityRule()
-    if name == "S2b":
-        return LoopRule()
-    if name == "B1":
-        return CopyRule(strict_scalars)
-    if name == "B2":
-        return BialgebraRule(direction)
-    if name == "K1":
-        return PiCopyRule(strict_scalars)
-    if name == "K2":
-        return PiCommuteRule()
-    if name == "C":
-        return ColorChangeRule(direction)
-    if name == "D1":
-        return ScalarPairRule(strict_scalars)
-    if name == "D2":
-        return ScalarLoopRule(strict_scalars)
-    if name == "E":
-        return SupplementarityRule()
-    if name == "HOPF":
-        return HopfRule()
-    if name == "A":
-        return AbsorbRule(strict_scalars)
-    raise ValueError(f"unknown rule {name!r}")
+    if name not in RULE_NAMES:
+        raise ValueError(f"unknown rule {name!r}")
+    if (name, direction) not in _RULES:
+        raise ValueError(f"rule {name} has no {direction} direction")
+    return _RULES[name, direction](strict_scalars)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,14 @@ def test_equal_failure_exit_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "equal", str(a), str(b))
     assert code == 1
     assert out.startswith("not equal")
+
+
+def test_rewrite_missing_direction_exit_2(capsys):
+    bell = Path(__file__).resolve().parent.parent / "diagrams" / "bell.zxg"
+    code, out, err = run_cli(capsys, "rewrite", "D1", "--direction", "backward", str(bell))
+    assert code == 2
+    assert out == ""
+    assert err == "error: rule D1 has no backward direction\n"
 
 
 def test_rewrite_applies_first_match(tmp_path, capsys):

@@ -1,17 +1,29 @@
+import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zxcalc.graph import Diagram, VertexType
+from zxcalc.graph import Diagram, VertexType, parse_zxg
 from zxcalc.phase import Phase
+from zxcalc.protocols import cnot
 from zxcalc.semantics import equal_up_to_scalar, evaluate
-from zxcalc.rewrite import BACKWARD, RULE_NAMES, StaleMatchError, get_rule
+from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, Match, StaleMatchError, get_rule
 from zxcalc.rewrite.rules import unfuse_match
+from zxcalc.rewrite.soundness import embed_lhs, random_diagram
 
 from oracles import SIGMA_X, proportional, z_spider_matrix
 
 Z, X = VertexType.Z, VertexType.X
+
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
+
+# every (rule, direction) pair: the forward rules, then the three backward ones
+PAIRS = [(name, FORWARD) for name in RULE_NAMES] + [
+    (name, BACKWARD) for name in ("S1", "B2", "C")
+]
 
 
 def chain(*vertices):
@@ -431,13 +443,11 @@ def test_hopf_needs_exactly_two_edges():
 
 
 def test_deterministic_enumeration():
-    from zxcalc.rewrite import random_diagram
-
     rng = random.Random(9)
     for _ in range(20):
         d = random_diagram(rng)
-        for name in RULE_NAMES:
-            rule = get_rule(name)
+        for name, direction in PAIRS:
+            rule = get_rule(name, direction)
             once = rule.find_matches(d)
             again = rule.find_matches(d)
             assert once == again
@@ -479,3 +489,78 @@ def test_locality_disjoint_component_untouched():
         assert out.phases.get(v) == combined.phases.get(v)
     spec_edges = [e for e in combined.edges if e[0] in spec_ids]
     assert [e for e in out.edges if e[0] in spec_ids] == spec_edges
+
+
+# sha256 of "\n".join(repr([m.data for m in matches])) over every
+# find_matches call below; it pins the match sets and their order
+MATCH_DIGEST = "6d094ae1f066a93c86e4bf14dfd6745d673c2be3d1aa39226e97cae9229c4b45"
+
+
+def test_match_lists_pinned():
+    diagrams = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
+    rng = random.Random(0)
+    for name, direction in PAIRS:
+        for _ in range(25):
+            d = random_diagram(rng)
+            embed_lhs(name, direction, d, rng)
+            diagrams.append(d)
+    ladder = cnot()
+    for _ in range(9):
+        ladder = ladder.compose(cnot())
+    diagrams.append(ladder)
+    lines = [
+        repr([m.data for m in get_rule(name, direction, strict_scalars=strict).find_matches(d)])
+        for d in diagrams
+        for name, direction in PAIRS
+        for strict in (False, True)
+    ]
+    assert len(lines) == 13056
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MATCH_DIGEST
+
+
+@pytest.mark.parametrize("name", ["S1", "B2", "C"])
+@pytest.mark.parametrize("source", [FORWARD, BACKWARD])
+def test_match_for_other_direction_is_stale(name, source):
+    target = BACKWARD if source == FORWARD else FORWARD
+    rng = random.Random(5)
+    d = random_diagram(rng, max_vertices=4)
+    embed_lhs(name, source, d, rng)
+    rule = get_rule(name, source)
+    m = rule.find_matches(d)[0]
+    for diagram in (d, rule.apply(d, m)):
+        with pytest.raises(StaleMatchError):
+            get_rule(name, target).apply(diagram, m)
+
+
+@pytest.mark.parametrize(
+    "name,direction",
+    [p for p in PAIRS if p not in (("S1", BACKWARD), ("C", BACKWARD))],
+)
+def test_candidates_never_miss_a_match(name, direction):
+    """find_matches equals every vertex assignment to the roles that holds."""
+    rng = random.Random(11)
+    found = 0
+    for _ in range(6):
+        d = random_diagram(rng, max_vertices=5, max_boundaries=2)
+        embed_lhs(name, direction, d, rng)
+        for strict in (False, True):
+            rule = get_rule(name, direction, strict_scalars=strict)
+            brute = set()
+            for ids in itertools.product(d.vertices(), repeat=len(rule.roles)):
+                m = Match(rule.name, tuple(sorted(zip(rule.roles, ids))))
+                if rule.holds(d, m):
+                    brute.add(m)
+            matches = rule.find_matches(d)
+            assert brute == set(matches)
+            found += len(matches)
+    assert found > 0
+
+
+def test_get_rule_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown rule 'Q'$"):
+        get_rule("Q")
+
+
+def test_get_rule_missing_direction():
+    with pytest.raises(ValueError, match=r"^rule D1 has no backward direction$"):
+        get_rule("D1", BACKWARD)
