@@ -23,6 +23,7 @@ its operands untouched.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from typing import Optional
 
@@ -223,18 +224,21 @@ class Diagram:
 
     def validate(self) -> None:
         """Raise :class:`InvariantError` unless every diagram invariant holds."""
+        degree: Counter = Counter()
         for a, b in self.edges:
             if a not in self.types or b not in self.types:
                 raise InvariantError(f"edge {a}-{b} references a missing vertex")
+            degree[a] += 1
+            degree[b] += 1
         for v, ty in self.types.items():
             cap = _DEGREE_CAP.get(ty)
             if ty is VertexType.BOUNDARY:
-                if self.degree(v) != 1:
+                if degree[v] != 1:
                     raise InvariantError(f"boundary vertex {v} must have degree 1")
             elif ty is VertexType.H:
-                if self.degree(v) != 2:
+                if degree[v] != 2:
                     raise InvariantError(f"H vertex {v} must have degree 2")
-            elif cap is not None and self.degree(v) > cap:
+            elif cap is not None and degree[v] > cap:
                 raise InvariantError(f"vertex {v} exceeds degree cap {cap}")
         interface = self.inputs + self.outputs
         for v in interface:

@@ -3,8 +3,11 @@ the evaluated matrix up to a nonzero scalar.
 
 This is the arbiter for rule transcriptions: the rule shapes come from
 figures, so each one is validated by applying every match found on a few
-hundred randomized diagrams (with the rule's left-hand side embedded so the
-test is never vacuous) and comparing dense evaluations.
+hundred randomized diagrams (with the rule's left-hand side embedded) and
+comparing dense evaluations.  The embedding does not always leave a match:
+its extra legs may be wired back into the pattern itself.  Such samples, and
+those with more than ten interface wires, are skipped silently: they add
+nothing to ``checks`` and are not reported.
 """
 
 from __future__ import annotations

@@ -19,10 +19,19 @@ Generator semantics:
 
 Scalars are tracked exactly; nothing is ever normalised away.  A self-loop
 contracts two axes of the same vertex tensor (a partial trace).
+
+Generator tensors are shared and read-only: spider tensors are cached by
+colour, phase and degree, and the H, boundary and diamond tensors are module
+constants.  Contraction keeps an index from each edge label to the parts
+holding it, so each step only considers pairs that share a label.  The greedy
+order takes the pair with the smallest result rank, then the lowest pair of
+part ids in creation order: vertices first in id order, then each merged part.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +42,16 @@ from .graph import Diagram, VertexType
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# generator tensors shared by every evaluation
+HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+_WIRE = _read_only(np.eye(2, dtype=complex))
+_DIAMOND = _read_only(np.asarray(np.sqrt(2), dtype=complex))
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -48,17 +66,22 @@ class ResourceLimitError(Exception):
     """An evaluation would exceed the configured qubit cap."""
 
 
+@functools.lru_cache(maxsize=256)
 def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
-    """The generator tensor of a Z or X spider with ``degree`` legs."""
-    t = np.zeros((2,) * degree, dtype=complex)
+    """The generator tensor of a Z or X spider with ``degree`` legs.
+
+    Results are cached by ``(ty, phase, degree)`` and shared between callers,
+    so the returned array is read-only.
+    """
     if degree == 0:
-        return np.asarray(1 + np.exp(1j * phase.radians), dtype=complex)
+        return _read_only(np.asarray(1 + np.exp(1j * phase.radians), dtype=complex))
+    t = np.zeros((2,) * degree, dtype=complex)
     t[(0,) * degree] = 1
     t[(1,) * degree] = np.exp(1j * phase.radians)
     if ty is VertexType.X:
         for axis in range(degree):
             t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, axis)), 0, axis)
-    return t
+    return _read_only(t)
 
 
 def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
@@ -66,11 +89,11 @@ def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
     if ty.is_spider():
         return spider_tensor(ty, d.phases[v], legs)
     if ty is VertexType.H:
-        return HADAMARD.copy()
+        return HADAMARD
     if ty is VertexType.BOUNDARY:
-        return np.eye(2, dtype=complex)
+        return _WIRE
     if ty is VertexType.DIAMOND:
-        return np.asarray(np.sqrt(2), dtype=complex)
+        return _DIAMOND
     raise AssertionError(f"unhandled vertex type {ty}")
 
 
@@ -114,10 +137,13 @@ def evaluate(
     """Contract a diagram to its ``2**m x 2**n`` matrix.
 
     ``order`` selects the deterministic contraction heuristic: ``"greedy"``
-    always contracts the pair whose result tensor is smallest, while
-    ``"sequential"`` folds parts in ascending vertex-id order.  Both give the
-    same matrix up to floating-point noise; the choice only affects
-    intermediate tensor sizes.
+    always contracts the pair of parts sharing a label whose result has the
+    smallest rank, then the lowest pair of part ids in creation order
+    (vertices in id order, then each merged part in turn), while
+    ``"sequential"`` takes the lowest such pair of ids.  Both give the same
+    matrix up to floating-point noise; the choice only affects intermediate
+    tensor sizes.  The result is a fresh writeable array that shares no
+    memory with the cached, read-only generator tensors.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -138,42 +164,46 @@ def evaluate(
     for pos, v in enumerate(d.outputs):
         stubs[v].append(("out", pos))
 
-    parts = []
-    for v in d.vertices():
+    # parts keyed by creation id: vertices in id order, then each merged part
+    # gets the next id; holders maps each label to the ids of the parts
+    # carrying it (at most two), ascending
+    parts: dict[int, tuple[list, np.ndarray]] = {}
+    holders: dict = {}
+    for pid, v in enumerate(d.vertices()):
         labels = stubs[v]
         tensor = _vertex_tensor(d, v, len(labels))
-        labels, tensor = _trace_repeats(list(labels), tensor)
-        parts.append((labels, tensor))
-
-    def result_size(a, b) -> int:
-        shared = len([lab for lab in a[0] if lab in b[0]])
-        return len(a[0]) + len(b[0]) - 2 * shared
+        parts[pid] = _trace_repeats(list(labels), tensor)
+        for lab in parts[pid][0]:
+            holders.setdefault(lab, []).append(pid)
+    next_id = len(parts)
 
     while True:
-        candidates = [
-            (i, j)
-            for i in range(len(parts))
-            for j in range(i + 1, len(parts))
-            if any(lab in parts[j][0] for lab in parts[i][0])
-        ]
-        if not candidates:
+        shared = Counter(tuple(ids) for ids in holders.values() if len(ids) == 2)
+        if not shared:
             break
         if order == "greedy":
-            i, j = min(candidates, key=lambda ij: (result_size(parts[ij[0]], parts[ij[1]]), ij))
+            def result_size(ij) -> int:
+                return len(parts[ij[0]][0]) + len(parts[ij[1]][0]) - 2 * shared[ij]
+
+            i, j = min(shared, key=lambda ij: (result_size(ij), ij))
         else:
-            i, j = candidates[0]
+            i, j = min(shared)
         merged = _contract_pair(parts[i], parts[j])
         if len(merged[0]) > max_qubits:
             raise ResourceLimitError(
                 f"intermediate tensor with {len(merged[0])} wires exceeds the cap "
                 f"of {max_qubits}"
             )
-        parts = [p for k, p in enumerate(parts) if k not in (i, j)]
-        parts.append(merged)
+        for lab in parts.pop(i)[0] + parts.pop(j)[0]:
+            holders[lab] = [k for k in holders[lab] if k not in (i, j)]
+        for lab in merged[0]:
+            holders[lab].append(next_id)
+        parts[next_id] = merged
+        next_id += 1
 
     labels: list = []
     tensor = np.asarray(1.0 + 0j)
-    for lab, t in parts:
+    for lab, t in parts.values():
         tensor = np.tensordot(tensor, t, axes=0)
         labels = labels + lab
 

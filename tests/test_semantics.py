@@ -1,16 +1,18 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zxcalc.graph import Diagram, VertexType
+from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase
 from zxcalc.semantics import (
     ResourceLimitError,
     born_probability,
     equal_up_to_scalar,
     evaluate,
+    spider_tensor,
 )
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
 
@@ -26,8 +28,11 @@ from oracles import (
     x_spider_matrix,
     z_spider_matrix,
 )
+from reference_evaluator import reference_evaluate
+from reference_evaluator import spider_tensor as reference_spider_tensor
 
 Z, X = VertexType.Z, VertexType.X
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 GENERIC_PHASES = [Phase(0), Phase(1, 2), Phase(1), Phase(3, 2), Phase(1, 3), Phase(5, 4)]
 
@@ -191,6 +196,79 @@ def test_qubit_cap():
     assert evaluate(ghz_state(6)).shape == (64, 1)
     with pytest.raises(ResourceLimitError):
         evaluate(ghz_state(6), max_qubits=4)
+
+
+def _outcome(fn, d, **kwargs):
+    try:
+        m = fn(d, **kwargs)
+    except Exception as exc:  # the exception itself is the compared outcome
+        return type(exc), str(exc)
+    return m.shape, m.tobytes()
+
+
+def _ladder(n):
+    d = cnot()
+    for _ in range(n - 1):
+        d = d.compose(cnot())
+    return d
+
+
+def _guard_corpus():
+    from zxcalc.rewrite.rules import BACKWARD, FORWARD, RULE_NAMES
+    from zxcalc.rewrite.soundness import embed_lhs, random_diagram
+
+    diagrams = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
+    pairs = [(name, FORWARD) for name in RULE_NAMES] + [
+        (name, BACKWARD) for name in ("S1", "B2", "C")
+    ]
+    assert len(pairs) == 16
+    rng = random.Random(3)
+    for name, direction in pairs:
+        for _ in range(20):
+            d = random_diagram(rng)
+            embed_lhs(name, direction, d, rng)
+            diagrams.append(d)
+    diagrams += [_ladder(n) for n in (1, 2, 3, 5, 8, 13, 21, 34, 40)]
+    return diagrams
+
+
+def test_evaluate_bitwise_matches_reference():
+    """The indexed contraction loop and the shared generator tensors give the
+    same bytes, shapes and errors as the frozen all-pairs evaluator."""
+    for d in _guard_corpus():
+        for order in ("greedy", "sequential"):
+            for cap in (4, 14):
+                kwargs = {"order": order, "max_qubits": cap}
+                assert _outcome(evaluate, d, **kwargs) == _outcome(
+                    reference_evaluate, d, **kwargs
+                ), serialize_zxg(d)
+
+
+def test_long_ladder_is_identity():
+    m = evaluate(_ladder(200))
+    # the scalar is 2**-100, below any absolute tolerance: compare normalised
+    assert proportional(m / np.max(np.abs(m)), np.eye(4))
+
+
+def test_spider_tensors_are_shared_read_only():
+    t = spider_tensor(X, Phase(1, 3), 3)
+    with pytest.raises(ValueError):
+        t[0, 0, 0] = 0
+    assert np.array_equal(spider_tensor(X, Phase(1, 3), 3), t)
+    assert np.array_equal(t, reference_spider_tensor(X, Phase(1, 3), 3))
+
+
+def test_evaluate_result_is_private():
+    scalar = Diagram()
+    scalar.add_vertex(X, Phase(1, 4))  # its cached tensor is the whole network
+    for d, degree in ((scalar, 0), (spider_diagram(X, Phase(1, 4), 1, 1), 2)):
+        used = spider_tensor(X, Phase(1, 4), degree)
+        before = used.copy()
+        m = evaluate(d)
+        assert m.flags.writeable
+        assert not np.shares_memory(m, used)
+        m[...] = 7
+        assert np.array_equal(used, before)
 
 
 def test_entries_finite_on_random_diagrams():
