@@ -147,18 +147,18 @@ def _cmd_equal(args, cfg: CliConfig) -> int:
 def _cmd_rewrite(args, cfg: CliConfig) -> int:
     d = _read_diagram(args.file)
     rule = get_rule(args.rule, args.direction, strict_scalars=cfg.strict_scalars)
-    matches = rule.find_matches(d)
-    if not matches:
+    m = next(rule.iter_matches(d), None)
+    if m is None:
         print(f"no match for {args.rule} ({args.direction})")
         return FAIL
-    out = rule.apply(d, matches[0])
+    out = rule.apply(d, m)
     from .rewrite.simplify import Trace
 
     trace = Trace()
     trace.record("start", "start", d)
-    trace.record(args.rule, matches[0].summary(), out)
+    trace.record(args.rule, m.summary(), out)
     _write_trace(trace, args.trace)
-    print(f"# applied {matches[0].summary()}")
+    print(f"# applied {m.summary()}")
     print(serialize_zxg(out), end="")
     return PASS
 

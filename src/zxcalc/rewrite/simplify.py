@@ -75,6 +75,9 @@ def simplify(
 ) -> tuple[Diagram, Trace]:
     """Repeatedly apply the first available rewrite until none fires.
 
+    Each step tries the rules in priority order and applies the first match
+    that holds, in candidate order, of the first rule that has one: the
+    match ``rule.find_matches(d)[0]``, found without listing the others.
     Returns the simplified diagram and the full trace.  The result is always
     evaluate-equal to the input up to a scalar (exactly equal in strict
     scalar mode for the D-family).  A hit step limit returns the partial
@@ -95,23 +98,17 @@ def simplify(
     trace = Trace()
     trace.record("start", "start", d)
     current = d
-    steps = 0
-    while True:
-        fired = False
+    for _ in range(step_limit):
         for name, rule in rules:
-            matches = rule.find_matches(current)
+            matches = rule.iter_matches(current)
             if name == "B1" and strategy == "safe":
-                matches = [m for m in matches if _safe_b1_filter(current, m)]
-            if not matches:
-                continue
-            m = matches[0]
-            current = rule.apply(current, m)
-            trace.record(name, m.summary(), current)
-            steps += 1
-            fired = True
-            break
-        if not fired:
+                matches = (m for m in matches if _safe_b1_filter(current, m))
+            m = next(matches, None)
+            if m is not None:
+                current = rule.apply(current, m)
+                trace.record(name, m.summary(), current)
+                break
+        else:
             return current, trace
-        if steps >= step_limit:
-            trace.truncated = True
-            return current, trace
+    trace.truncated = True
+    return current, trace

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from ..graph import Diagram, VertexType, serialize_zxg
 from ..phase import Phase
@@ -216,7 +217,7 @@ def check_soundness(
         embed_lhs(rule.name, rule.direction, d, rng)
         if len(d.inputs) + len(d.outputs) > 10:
             continue
-        matches = rule.find_matches(d)[:max_matches_per_sample]
+        matches = list(islice(rule.iter_matches(d), max_matches_per_sample))
         if not matches:
             continue
         before = evaluate(d)

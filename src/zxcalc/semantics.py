@@ -20,17 +20,21 @@ Generator semantics:
 Scalars are tracked exactly; nothing is ever normalised away.  A self-loop
 contracts two axes of the same vertex tensor (a partial trace).
 
-Generator tensors are shared and read-only: spider tensors are cached by
-colour, phase and degree, and the H, boundary and diamond tensors are module
-constants.  Contraction keeps an index from each edge label to the parts
-holding it, so each step only considers pairs that share a label.  The greedy
-order takes the pair with the smallest result rank, then the lowest pair of
-part ids in creation order: vertices first in id order, then each merged part.
+Generator tensors are read-only: spider tensors of up to ten legs are cached
+by colour, phase and degree, and the H, boundary and diamond tensors are
+module constants.  Contraction keeps an index from each edge label to the
+parts holding it and a heap of the pairs of parts that share a label.  The
+greedy order takes the pair with the smallest result rank, then the lowest
+pair of part ids in creation order: vertices first in id order, then each
+merged part.  A pair's key never changes while both its parts live, so a new
+part pushes only its own pairs, at O(degree) per contraction, and a popped
+pair that names a part already merged away is skipped as stale.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -66,13 +70,24 @@ class ResourceLimitError(Exception):
     """An evaluation would exceed the configured qubit cap."""
 
 
-@functools.lru_cache(maxsize=256)
+# spider tensors with at most this many legs are cached: 16 KiB each, at
+# most 4 MiB for the 256 entries kept; wider ones are built on every call
+_CACHED_LEGS = 10
+
+
 def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     """The generator tensor of a Z or X spider with ``degree`` legs.
 
-    Results are cached by ``(ty, phase, degree)`` and shared between callers,
-    so the returned array is read-only.
+    Tensors of up to ten legs are cached by ``(ty, phase, degree)`` and
+    shared between callers; wider ones are built fresh.  Either way the
+    returned array is read-only.
     """
+    if degree > _CACHED_LEGS:
+        return _build_spider_tensor(ty, phase, degree)
+    return _cached_spider_tensor(ty, phase, degree)
+
+
+def _build_spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     if degree == 0:
         return _read_only(np.asarray(1 + np.exp(1j * phase.radians), dtype=complex))
     t = np.zeros((2,) * degree, dtype=complex)
@@ -82,6 +97,9 @@ def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
         for axis in range(degree):
             t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, axis)), 0, axis)
     return _read_only(t)
+
+
+_cached_spider_tensor = functools.lru_cache(maxsize=256)(_build_spider_tensor)
 
 
 def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
@@ -115,17 +133,24 @@ def _trace_repeats(labels: list, tensor: np.ndarray) -> tuple[list, np.ndarray]:
 
 
 def _contract_pair(a, b):
-    """Contract two (labels, tensor) parts over all shared labels."""
+    """Contract two (labels, tensor) parts over all shared labels.
+
+    This is ``np.tensordot(t_a, t_b, axes=(axes_a, axes_b))`` written out:
+    the same transposes, reshapes and ``np.dot`` in the same operand order,
+    so the same bytes, without its argument checks.  Every axis has size 2.
+    With no shared label it is the outer product ``tensordot(..., axes=0)``.
+    """
     labels_a, t_a = a
     labels_b, t_b = b
-    shared = [lab for lab in labels_a if lab in labels_b]
-    axes_a = [labels_a.index(lab) for lab in shared]
-    axes_b = [labels_b.index(lab) for lab in shared]
-    t = np.tensordot(t_a, t_b, axes=(axes_a, axes_b))
-    labels = [lab for lab in labels_a if lab not in shared] + [
-        lab for lab in labels_b if lab not in shared
-    ]
-    return labels, t
+    shared = set(labels_a).intersection(labels_b)
+    axes_a = [k for k, lab in enumerate(labels_a) if lab in shared]
+    keep_a = [k for k, lab in enumerate(labels_a) if lab not in shared]
+    axes_b = [labels_b.index(labels_a[k]) for k in axes_a]
+    keep_b = [k for k, lab in enumerate(labels_b) if lab not in shared]
+    at = t_a.transpose(keep_a + axes_a).reshape(1 << len(keep_a), 1 << len(axes_a))
+    bt = t_b.transpose(axes_b + keep_b).reshape(1 << len(axes_b), 1 << len(keep_b))
+    labels = [labels_a[k] for k in keep_a] + [labels_b[k] for k in keep_b]
+    return labels, np.dot(at, bt).reshape((2,) * len(labels))
 
 
 def evaluate(
@@ -142,8 +167,11 @@ def evaluate(
     (vertices in id order, then each merged part in turn), while
     ``"sequential"`` takes the lowest such pair of ids.  Both give the same
     matrix up to floating-point noise; the choice only affects intermediate
-    tensor sizes.  The result is a fresh writeable array that shares no
-    memory with the cached, read-only generator tensors.
+    tensor sizes.  The candidate pairs sit in a heap under exactly that key,
+    which never changes while both parts live: each new part pushes only its
+    own pairs, and a popped pair naming a part already merged away is
+    skipped.  The result is a fresh writeable array that shares no memory
+    with the cached, read-only generator tensors.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -165,7 +193,7 @@ def evaluate(
         stubs[v].append(("out", pos))
 
     # parts keyed by creation id: vertices in id order, then each merged part
-    # gets the next id; holders maps each label to the ids of the parts
+    # gets the next id; holders maps each label to the ids of the live parts
     # carrying it (at most two), ascending
     parts: dict[int, tuple[list, np.ndarray]] = {}
     holders: dict = {}
@@ -177,17 +205,18 @@ def evaluate(
             holders.setdefault(lab, []).append(pid)
     next_id = len(parts)
 
-    while True:
-        shared = Counter(tuple(ids) for ids in holders.values() if len(ids) == 2)
-        if not shared:
-            break
-        if order == "greedy":
-            def result_size(ij) -> int:
-                return len(parts[ij[0]][0]) + len(parts[ij[1]][0]) - 2 * shared[ij]
+    def key(i: int, j: int, shared: int) -> tuple:
+        if order == "sequential":
+            return i, j
+        return len(parts[i][0]) + len(parts[j][0]) - 2 * shared, i, j
 
-            i, j = min(shared, key=lambda ij: (result_size(ij), ij))
-        else:
-            i, j = min(shared)
+    shared = Counter(tuple(ids) for ids in holders.values() if len(ids) == 2)
+    heap = [key(i, j, count) for (i, j), count in shared.items()]
+    heapq.heapify(heap)
+    while heap:
+        i, j = heapq.heappop(heap)[-2:]
+        if i not in parts or j not in parts:
+            continue  # stale: one side was merged after this pair was pushed
         merged = _contract_pair(parts[i], parts[j])
         if len(merged[0]) > max_qubits:
             raise ResourceLimitError(
@@ -196,16 +225,17 @@ def evaluate(
             )
         for lab in parts.pop(i)[0] + parts.pop(j)[0]:
             holders[lab] = [k for k in holders[lab] if k not in (i, j)]
+        parts[next_id] = merged
+        neighbours = Counter(holders[lab][0] for lab in merged[0] if holders[lab])
         for lab in merged[0]:
             holders[lab].append(next_id)
-        parts[next_id] = merged
+        for k, count in neighbours.items():
+            heapq.heappush(heap, key(k, next_id, count))
         next_id += 1
 
-    labels: list = []
-    tensor = np.asarray(1.0 + 0j)
-    for lab, t in parts.values():
-        tensor = np.tensordot(tensor, t, axes=0)
-        labels = labels + lab
+    labels, tensor = [], np.asarray(1.0 + 0j)
+    for part in parts.values():
+        labels, tensor = _contract_pair((labels, tensor), part)
 
     # arrange axes as out_0 .. out_{m-1}, in_0 .. in_{n-1} (big-endian)
     want = [("out", k) for k in range(m)] + [("in", k) for k in range(n)]

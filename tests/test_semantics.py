@@ -8,7 +8,10 @@ import pytest
 from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase
 from zxcalc.semantics import (
+    _DIAMOND,
     ResourceLimitError,
+    _cached_spider_tensor,
+    _contract_pair,
     born_probability,
     equal_up_to_scalar,
     evaluate,
@@ -242,6 +245,91 @@ def test_evaluate_bitwise_matches_reference():
                 assert _outcome(evaluate, d, **kwargs) == _outcome(
                     reference_evaluate, d, **kwargs
                 ), serialize_zxg(d)
+
+
+def _self_loop_diagram():
+    d = Diagram()
+    z = d.add_vertex(Z, Phase(1, 4))
+    x = d.add_vertex(X, Phase(1, 3))
+    d.add_edge(z, z)
+    d.add_edge(z, x)
+    d.add_edge(x, x)
+    d.add_edge(x, x)
+    d.add_edge(z, x)
+    d.add_input(z)
+    d.add_output(x)
+    d.add_output(z)
+    return d
+
+
+def _triangle():
+    # three spiders joined pairwise: merging any two of them leaves the
+    # third's heap entries with both of them stale
+    d = Diagram()
+    a, b, c = d.add_vertex(Z, Phase(1, 2)), d.add_vertex(X), d.add_vertex(Z, Phase(1))
+    for u, v in ((a, b), (a, c), (b, c), (a, b)):
+        d.add_edge(u, v)
+    for v in (a, b, c):
+        d.add_output(v)
+    return d
+
+
+def test_evaluate_bitwise_matches_reference_on_long_ladders_and_loops():
+    """The heap frontier, including its stale-entry skip, gives the frozen
+    evaluator's bytes on a long ladder, self-loops and a merged triangle."""
+    for d in (_ladder(59), _self_loop_diagram(), _triangle()):
+        for order in ("greedy", "sequential"):
+            for cap in (4, 14):
+                kwargs = {"order": order, "max_qubits": cap}
+                assert _outcome(evaluate, d, **kwargs) == _outcome(
+                    reference_evaluate, d, **kwargs
+                ), serialize_zxg(d)
+
+
+def _random_tensor(rng, rank):
+    shape = (2,) * rank
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "labels_a,labels_b,axes",
+    [
+        ([], [], ([], [])),  # two scalars
+        ([], ["p", "q"], ([], [])),  # a scalar and a matrix
+        (["p", "q"], ["r"], ([], [])),  # outer product: no shared label
+        (["p", "q"], ["q", "p"], ([0, 1], [1, 0])),  # full contraction to a scalar
+        (["p", "q", "r"], ["s", "r", "t", "p"], ([0, 2], [3, 1])),
+    ],
+)
+def test_contract_pair_matches_tensordot(labels_a, labels_b, axes):
+    rng = np.random.default_rng(len(labels_a) * 10 + len(labels_b))
+    a, b = _random_tensor(rng, len(labels_a)), _random_tensor(rng, len(labels_b))
+    labels, t = _contract_pair((labels_a, a), (labels_b, b))
+    want = np.tensordot(a, b, axes=axes)
+    assert t.shape == want.shape
+    assert t.tobytes() == want.tobytes()
+    shared = {labels_a[k] for k in axes[0]}
+    assert labels == [lab for lab in labels_a + labels_b if lab not in shared]
+
+
+def test_contract_pair_of_zero_legged_generators():
+    free = spider_tensor(X, Phase(1, 3), 0)
+    for a, b in ((_DIAMOND, free), (free, _DIAMOND), (free, spider_tensor(Z, Phase(1), 2))):
+        labels, t = _contract_pair(([], a), (["p", "q"][: b.ndim], b))
+        want = np.tensordot(a, b, axes=0)
+        assert (t.shape, t.tobytes()) == (want.shape, want.tobytes())
+        assert labels == ["p", "q"][: b.ndim]
+
+
+def test_wide_spider_tensors_are_not_cached():
+    # neither looked up nor stored: hits, misses and currsize stay put
+    info = _cached_spider_tensor.cache_info()
+    t = spider_tensor(X, Phase(1, 7), 12)
+    assert _cached_spider_tensor.cache_info() == info
+    assert not t.flags.writeable
+    assert t is not spider_tensor(X, Phase(1, 7), 12)
+    assert np.array_equal(t, reference_spider_tensor(X, Phase(1, 7), 12))
+    assert spider_tensor(X, Phase(1, 7), 10) is spider_tensor(X, Phase(1, 7), 10)
 
 
 def test_long_ladder_is_identity():

@@ -1,16 +1,26 @@
+import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 
-from zxcalc.graph import Diagram, VertexType, parse_zxg
+from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase
 from zxcalc.semantics import equal_up_to_scalar, evaluate
-from zxcalc.rewrite import random_diagram, simplify
-from zxcalc.protocols import ghz_state, wire
+from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, get_rule, random_diagram, simplify
+from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, Trace, _safe_b1_filter
+from zxcalc.rewrite.soundness import embed_lhs
+from zxcalc.protocols import cnot, ghz_state, wire
 
 from oracles import proportional
 
 Z, X = VertexType.Z, VertexType.X
+
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
+
+# sha256 over every trace of test_simplify_traces_pinned, taken with the
+# all-matches simplify loop (the one _all_matches_simplify restates)
+TRACE_DIGEST = "4a532b78be04af21c9c82625e18469736fc0228773a4d4c84fa20fd3f80d3ec2"
 
 
 def test_already_minimal_is_untouched():
@@ -131,3 +141,65 @@ def test_strict_scalars_keep_value_exact():
             ratio = abs(verdict.scalar)
             k = round(np.log2(ratio) * 2)
             assert abs(ratio - 2 ** (k / 2)) < 1e-9
+
+
+def _all_matches_simplify(d, strategy, strict_scalars):
+    """The simplify loop written with full match lists: every step applies
+    ``find_matches(d)[0]`` of the first rule, in priority order, that has one."""
+    rules = [(name, get_rule(name, strict_scalars=strict_scalars)) for name in _SAFE_RULES]
+    if strategy == "full":
+        rules += [
+            (name, get_rule(name, direction, strict_scalars=strict_scalars))
+            for name, direction in _FULL_EXTRA
+        ]
+    trace = Trace()
+    trace.record("start", "start", d)
+    while len(trace) < 1000:
+        for name, rule in rules:
+            matches = rule.find_matches(d)
+            if name == "B1" and strategy == "safe":
+                matches = [m for m in matches if _safe_b1_filter(d, m)]
+            if matches:
+                d = rule.apply(d, matches[0])
+                trace.record(name, matches[0].summary(), d)
+                break
+        else:
+            return d, trace
+    trace.truncated = True
+    return d, trace
+
+
+def _trace_corpus():
+    diagrams = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
+    ladder = cnot()
+    diagrams.append(ladder)
+    for _ in range(39):
+        ladder = ladder.compose(cnot())
+        diagrams.append(ladder)
+    pairs = [(name, FORWARD) for name in RULE_NAMES] + [
+        (name, BACKWARD) for name in ("S1", "B2", "C")
+    ]
+    rng = random.Random(0)
+    for name, direction in pairs:
+        for _ in range(25):
+            d = random_diagram(rng)
+            embed_lhs(name, direction, d, rng)
+            diagrams.append(d)
+    return diagrams
+
+
+def test_simplify_traces_pinned():
+    """Every trace and result of simplify is pinned, and equals the loop that
+    takes the first element of each rule's full match list."""
+    texts = []
+    for d in _trace_corpus():
+        for strategy in ("safe", "full"):
+            for strict in (False, True):
+                out, trace = simplify(d, strategy=strategy, strict_scalars=strict)
+                text = trace.render() + serialize_zxg(out)
+                ref_out, ref_trace = _all_matches_simplify(d, strategy, strict)
+                assert text == ref_trace.render() + serialize_zxg(ref_out)
+                texts.append(text)
+    assert len(texts) == 1788
+    digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+    assert digest == TRACE_DIGEST
