@@ -23,6 +23,7 @@ from .rewrite import (
     FORWARD,
     RULE_NAMES,
     ReplayError,
+    Trace,
     check_soundness,
     get_rule,
     replay_derivation,
@@ -152,12 +153,7 @@ def _cmd_rewrite(args, cfg: CliConfig) -> int:
         print(f"no match for {args.rule} ({args.direction})")
         return FAIL
     out = rule.apply(d, m)
-    from .rewrite.simplify import Trace
-
-    trace = Trace()
-    trace.record("start", "start", d)
-    trace.record(args.rule, m.summary(), out)
-    _write_trace(trace, args.trace)
+    _write_trace(Trace(d, [(args.rule, rule, m)]), args.trace)
     print(f"# applied {m.summary()}")
     print(serialize_zxg(out), end="")
     return PASS
@@ -194,9 +190,11 @@ def _cmd_derivations(args, cfg: CliConfig) -> int:
             code = FAIL
             continue
         print(f"{name}: ok ({len(trace)} steps: {', '.join(trace.rules_used())})")
-        if args.name:  # a single requested derivation prints its full trace
-            print(trace.render(), end="")
-        rendered.append(f"derivation {name}\n" + trace.render())
+        if args.name or args.trace:
+            text = trace.render()
+            if args.name:  # a single requested derivation prints its full trace
+                print(text, end="")
+            rendered.append(f"derivation {name}\n" + text)
     if args.trace and rendered:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rendered))

@@ -1,10 +1,10 @@
 """Scripted derivation replays.
 
-Each replay starts from a constructed diagram and applies an explicit,
-pre-recorded sequence of rule matches; the runner re-evaluates the diagram
-after every step and aborts if a step fails to match or changes the
-semantics beyond a global scalar.  The scripts end in diagrams whose
-evaluation is checked against the known closed forms:
+Each script is the match log of a :class:`~zxcalc.rewrite.Trace` over a
+constructed start diagram.  The runner verifies as it replays: it evaluates
+each diagram the replay yields and aborts if a step's match no longer holds
+or the step changes the semantics beyond a global scalar.  The scripts end
+in diagrams whose evaluation is checked against the known closed forms:
 
 =============  ===============================================================
 hopf           two-wire Z/X pair disconnects into a point pair
@@ -15,8 +15,8 @@ qkd_core       decider z+ with equal x effects reduces to a nonzero scalar
 =============  ===============================================================
 
 Step sequences reference vertex ids directly; this is safe because id
-allocation is deterministic (a per-diagram monotone counter) and the runner
-re-validates every match structurally before applying it.
+allocation is deterministic (a per-diagram monotone counter) and ``apply``
+re-checks every match before rewriting.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from ..graph import Diagram, VertexType
 from ..phase import Phase
 from ..semantics import equal_up_to_scalar, evaluate
-from .rules import BACKWARD, FORWARD, _match, get_rule, unfuse_match
+from .rules import BACKWARD, _match, get_rule, unfuse_match
 from .simplify import Trace
 
 Z, X = VertexType.Z, VertexType.X
@@ -36,37 +36,18 @@ class ReplayError(Exception):
     """A scripted step failed to match or broke semantic equality."""
 
 
-def _s1(u: int, v: int) -> tuple:
-    return ("S1", FORWARD, _match("S1", u=u, v=v))
-
-
-def _s2a(v: int) -> tuple:
-    return ("S2a", FORWARD, _match("S2a", vertex=v))
+def _forward(name: str):
+    """A maker of forward log entries whose vertex ids fill the roles in order."""
+    rule = get_rule(name)
+    return lambda *ids: (name, rule, _match(name, **dict(zip(rule.roles, ids))))
 
 
 def _unfuse(v: int, legs: tuple, phase: Phase) -> tuple:
-    return ("S1", BACKWARD, unfuse_match(v, legs, phase))
+    return ("S1", get_rule("S1", BACKWARD), unfuse_match(v, legs, phase))
 
 
-def _b1(point: int, spider: int) -> tuple:
-    return ("B1", FORWARD, _match("B1", point=point, spider=spider))
-
-
-def _k1(point: int, spider: int) -> tuple:
-    return ("K1", FORWARD, _match("K1", point=point, spider=spider))
-
-
-def _k2(pi_vertex: int, spider: int) -> tuple:
-    return ("K2", FORWARD, _match("K2", pi_vertex=pi_vertex, spider=spider))
-
-
-def _d1(p: int, q: int) -> tuple:
-    return ("D1", FORWARD, _match("D1", p=p, q=q))
-
-
-def _hopf(u: int, v: int) -> tuple:
-    return ("HOPF", FORWARD, _match("HOPF", u=u, v=v))
-
+_s1, _s2a, _b1, _k1, _k2, _d1, _hopf = map(
+    _forward, ("S1", "S2a", "B1", "K1", "K2", "D1", "HOPF"))
 
 _T_STEP = ("T", None, None)
 
@@ -237,27 +218,20 @@ def replay_derivation(name: str, verify: bool = True) -> Trace:
         raise ReplayError(
             f"unknown derivation {name!r}; expected one of {DERIVATION_NAMES}"
         ) from None
-    d = builder()
-    trace = Trace()
-    trace.record("start", "start", d)
+    trace = Trace(builder(), list(steps))
+    replay = trace.replay()
+    _, _, d = next(replay)
     reference = evaluate(d) if verify else None
-    for rule_name, direction, match in steps:
-        if rule_name == "T":
-            shift = d._next_id
-            d = d.relabeled({v: v + shift for v in d.types})
-            trace.record("T", "T (topology: vertex relabeling)", d)
-            continue
-        rule = get_rule(rule_name, direction)
+    for _, _, match in steps:
         try:
-            d = rule.apply(d, match)
+            _, summary, d = next(replay)
         except Exception as exc:
             raise ReplayError(f"{name}: step {match.summary()} failed: {exc}") from exc
-        trace.record(rule_name, match.summary(), d)
         if verify:
             verdict = equal_up_to_scalar(evaluate(d), reference)
             if not verdict.equal:
                 raise ReplayError(
-                    f"{name}: step {match.summary()} broke semantics "
+                    f"{name}: step {summary} broke semantics "
                     f"(residual {verdict.max_residual:.3e})"
                 )
     if verify:

@@ -5,14 +5,21 @@
 step limit.  ``full`` additionally tries the commutation/bialgebra family
 under the step limit; normalisation in that regime is not guaranteed to
 halt, so hitting the limit flags the trace as truncated instead of raising.
+
+A :class:`Trace` stores a copy of the start diagram and the log of the
+matches taken, not a diagram per step.  ``render`` and ``steps`` replay the
+log through ``rule.apply``, which re-checks every match; each costs one
+``apply`` and one ``serialize_zxg`` per step, about as much again as the
+run that made the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from ..graph import Diagram, serialize_zxg
-from .rules import BACKWARD, FORWARD, Match, get_rule
+from .rules import BACKWARD, FORWARD, Match, RewriteRule, get_rule
 
 
 @dataclass(frozen=True)
@@ -24,28 +31,49 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """A replayable step log; entry 0 is the start diagram."""
+    """A start diagram, copied on construction, and a log of
+    ``(name, rule, match)`` steps that ``replay``, ``steps`` and ``render``
+    re-apply.  A step with no rule is a topology move: every vertex id moves
+    past the diagram's ``_next_id``.  Replay is deterministic because ids
+    come from a per-diagram counter; a step whose match no longer holds
+    raises :class:`StaleMatchError`.
+    """
 
-    steps: list[TraceStep] = field(default_factory=list)
+    start: Diagram
+    log: list[tuple[str, Optional[RewriteRule], Optional[Match]]] = field(default_factory=list)
     truncated: bool = False
 
-    def record(self, rule: str, summary: str, d: Diagram) -> None:
-        self.steps.append(TraceStep(rule, summary, serialize_zxg(d)))
+    def __post_init__(self) -> None:
+        self.start = self.start.copy()
+
+    def replay(self) -> Iterator[tuple[str, str, Diagram]]:
+        """Yield ``(name, summary, diagram)`` for the start and each step;
+        the diagrams are the trace's own and must not be mutated."""
+        d = self.start
+        yield "start", "start", d
+        for name, rule, m in self.log:
+            if rule is None:
+                d = d.relabeled({v: v + d._next_id for v in d.types})
+                yield name, "T (topology: vertex relabeling)", d
+            else:
+                d = rule.apply(d, m)
+                yield name, m.summary(), d
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        """Entry 0 is the start diagram; replays the whole log."""
+        return [TraceStep(name, summary, serialize_zxg(d)) for name, summary, d in self.replay()]
 
     def __len__(self) -> int:
-        # number of rewrite steps, excluding the start snapshot
-        return max(0, len(self.steps) - 1)
+        return len(self.log)
 
     def rules_used(self) -> list[str]:
-        return [s.rule for s in self.steps[1:]]
+        return [name for name, _, _ in self.log]
 
     def render(self) -> str:
         lines = []
         for n, step in enumerate(self.steps):
-            if n == 0:
-                lines.append("step 0: start")
-            else:
-                lines.append(f"step {n}: {step.summary}")
+            lines.append(f"step {n}: {step.summary}")
             lines.extend("  " + ln for ln in step.snapshot.splitlines())
         if self.truncated:
             lines.append("truncated: step limit reached")
@@ -78,10 +106,11 @@ def simplify(
     Each step tries the rules in priority order and applies the first match
     that holds, in candidate order, of the first rule that has one: the
     match ``rule.find_matches(d)[0]``, found without listing the others.
-    Returns the simplified diagram and the full trace.  The result is always
-    evaluate-equal to the input up to a scalar (exactly equal in strict
-    scalar mode for the D-family).  A hit step limit returns the partial
-    result with ``trace.truncated`` set rather than raising.
+    Returns the simplified diagram and its trace, the log of the matches
+    taken (see :class:`Trace`).  The result is always evaluate-equal to the
+    input up to a scalar (exactly equal in strict scalar mode for the
+    D-family).  A hit step limit returns the partial result with
+    ``trace.truncated`` set rather than raising.
     """
     if strategy not in ("safe", "full"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -95,20 +124,18 @@ def simplify(
             for name, direction in _FULL_EXTRA
         ]
 
-    trace = Trace()
-    trace.record("start", "start", d)
-    current = d
+    trace = Trace(d)
     for _ in range(step_limit):
         for name, rule in rules:
-            matches = rule.iter_matches(current)
+            matches = rule.iter_matches(d)
             if name == "B1" and strategy == "safe":
-                matches = (m for m in matches if _safe_b1_filter(current, m))
+                matches = (m for m in matches if _safe_b1_filter(d, m))
             m = next(matches, None)
             if m is not None:
-                current = rule.apply(current, m)
-                trace.record(name, m.summary(), current)
+                d = rule.apply(d, m)
+                trace.log.append((name, rule, m))
                 break
         else:
-            return current, trace
+            return d, trace
     trace.truncated = True
-    return current, trace
+    return d, trace

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,14 @@ import pytest
 from zxcalc.cli import main
 from zxcalc.graph import parse_zxg, serialize_zxg
 from zxcalc.protocols import cnot, ghz_class_state, ghz_state
+from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, replay_derivation
+
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
+
+# sha256 over the render() of every derivation, then the `rewrite --trace` file
+# ("" when there is no match) of every diagrams/*.zxg x (rule, direction) with
+# --strict-scalars off and on; computed with the snapshot-per-step Trace
+TRACES_DIGEST = "40230c04277380f160c35153280548ac3d155b228f561b937b4e89b4e0035a10"
 
 
 @pytest.fixture
@@ -74,7 +83,7 @@ def test_equal_failure_exit_1(tmp_path, capsys):
 
 
 def test_rewrite_missing_direction_exit_2(capsys):
-    bell = Path(__file__).resolve().parent.parent / "diagrams" / "bell.zxg"
+    bell = DIAGRAMS / "bell.zxg"
     code, out, err = run_cli(capsys, "rewrite", "D1", "--direction", "backward", str(bell))
     assert code == 2
     assert out == ""
@@ -109,6 +118,24 @@ def test_simplify_writes_trace(tmp_path, capsys):
     text = trace_path.read_text()
     assert text.startswith("step 0: start")
     assert "step 1: " in text
+
+
+def test_derivation_and_rewrite_traces_pinned(tmp_path, capsys):
+    texts = [replay_derivation(name).render() for name in DERIVATION_NAMES]
+    pairs = [(name, FORWARD) for name in RULE_NAMES] + [
+        (name, BACKWARD) for name in ("S1", "B2", "C")
+    ]
+    trace_path = tmp_path / "trace.txt"
+    for path in sorted(DIAGRAMS.glob("*.zxg")):
+        for name, direction in pairs:
+            for strict in ([], ["--strict-scalars"]):
+                trace_path.write_text("")
+                argv = ["rewrite", name, str(path), "--direction", direction]
+                run_cli(capsys, *argv, "--trace", str(trace_path), *strict)
+                texts.append(trace_path.read_text())
+    assert len(texts) == 231
+    digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+    assert digest == TRACES_DIGEST
 
 
 def test_soundness_cli(capsys):

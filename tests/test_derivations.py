@@ -96,6 +96,19 @@ def test_expected_finals_frozen():
         assert equal_up_to_scalar(final, expected_final(name)).equal
 
 
+def test_stale_script_step_is_named(monkeypatch):
+    from zxcalc.rewrite import derivations
+
+    builder, _, expected = derivations._DERIVATIONS["ghz_plug0"]
+    # B1 leaves the points 4 and 5 on separate wires, so D1 cannot pair them
+    script = [derivations._b1(1, 0), derivations._d1(4, 5)]
+    monkeypatch.setitem(derivations._DERIVATIONS, "stale", (builder, script, expected))
+    message = r"^stale: step D1 at \[4, 5\] failed: D1 at \[4, 5\] no longer applies$"
+    for verify in (True, False):
+        with pytest.raises(ReplayError, match=message):
+            replay_derivation("stale", verify=verify)
+
+
 def test_unknown_name_raises():
     with pytest.raises(ReplayError):
         replay_derivation("nope")

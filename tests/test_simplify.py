@@ -3,12 +3,21 @@ import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase
 from zxcalc.semantics import equal_up_to_scalar, evaluate
-from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, get_rule, random_diagram, simplify
-from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, Trace, _safe_b1_filter
+from zxcalc.rewrite import (
+    BACKWARD,
+    FORWARD,
+    RULE_NAMES,
+    StaleMatchError,
+    get_rule,
+    random_diagram,
+    simplify,
+)
+from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, _safe_b1_filter
 from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
 
@@ -127,6 +136,25 @@ def test_trace_render_format():
     assert " at [" in text
 
 
+def test_trace_keeps_a_copy_of_its_start():
+    d = ghz_state().plugged("output", 0, "z+")
+    _, trace = simplify(d)
+    text = trace.render()
+    d.remove_vertex(d.vertices()[0])
+    d.add_vertex(Z, Phase(1))
+    assert trace.render() == text
+
+
+def test_replaying_a_stale_match_raises():
+    d = ghz_state().plugged("output", 0, "z+")
+    _, trace = simplify(d)
+    trace.log.append(trace.log[0])  # its vertices were rewritten away by step 1
+    with pytest.raises(StaleMatchError):
+        trace.render()
+    with pytest.raises(StaleMatchError):
+        trace.steps
+
+
 def test_strict_scalars_keep_value_exact():
     rng = random.Random(24)
     for _ in range(60):
@@ -143,6 +171,28 @@ def test_strict_scalars_keep_value_exact():
             assert abs(ratio - 2 ** (k / 2)) < 1e-9
 
 
+class _SnapshotTrace:
+    """A trace that serialises the diagram after every step as the run goes,
+    rendered in the format of ``Trace.render``: a frozen reference for the
+    replayed traces."""
+
+    def __init__(self):
+        self.snapshots = []
+        self.truncated = False
+
+    def record(self, summary, d):
+        self.snapshots.append((summary, serialize_zxg(d)))
+
+    def render(self):
+        lines = []
+        for n, (summary, snapshot) in enumerate(self.snapshots):
+            lines.append(f"step {n}: {summary}")
+            lines.extend("  " + ln for ln in snapshot.splitlines())
+        if self.truncated:
+            lines.append("truncated: step limit reached")
+        return "\n".join(lines) + "\n"
+
+
 def _all_matches_simplify(d, strategy, strict_scalars):
     """The simplify loop written with full match lists: every step applies
     ``find_matches(d)[0]`` of the first rule, in priority order, that has one."""
@@ -152,16 +202,16 @@ def _all_matches_simplify(d, strategy, strict_scalars):
             (name, get_rule(name, direction, strict_scalars=strict_scalars))
             for name, direction in _FULL_EXTRA
         ]
-    trace = Trace()
-    trace.record("start", "start", d)
-    while len(trace) < 1000:
+    trace = _SnapshotTrace()
+    trace.record("start", d)
+    while len(trace.snapshots) <= 1000:
         for name, rule in rules:
             matches = rule.find_matches(d)
             if name == "B1" and strategy == "safe":
                 matches = [m for m in matches if _safe_b1_filter(d, m)]
             if matches:
                 d = rule.apply(d, matches[0])
-                trace.record(name, matches[0].summary(), d)
+                trace.record(matches[0].summary(), d)
                 break
         else:
             return d, trace
@@ -189,8 +239,9 @@ def _trace_corpus():
 
 
 def test_simplify_traces_pinned():
-    """Every trace and result of simplify is pinned, and equals the loop that
-    takes the first element of each rule's full match list."""
+    """Every trace and result of simplify is pinned, and the replayed trace
+    equals the snapshots of a loop that takes the first element of each
+    rule's full match list."""
     texts = []
     for d in _trace_corpus():
         for strategy in ("safe", "full"):
