@@ -7,7 +7,6 @@ from .graph import (
     InvariantError,
     ParseError,
     VertexType,
-    new_diagram,
     parse_zxg,
     serialize_zxg,
     to_dot,
@@ -27,7 +26,6 @@ __all__ = [
     "InvariantError",
     "ParseError",
     "VertexType",
-    "new_diagram",
     "parse_zxg",
     "serialize_zxg",
     "to_dot",

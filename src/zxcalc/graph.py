@@ -15,6 +15,15 @@ Structural rules enforced here (and checked by :meth:`Diagram.validate`):
 * vertex ids are handed out by a monotone counter and never reused, so
   rewrite traces can name vertices stably.
 
+Edges live in one record, per vertex: ``_inc[v]`` maps the id of each edge
+at ``v`` to its other end, in insertion order (a self-loop ``e`` sits under
+``e`` and ``~e``, once per end).  Edge ids come from a second monotone
+counter and are never reused, so they recover the insertion order that
+:attr:`Diagram.edges` reports and evaluation labels tensor axes by.  So
+``degree``, ``incident``, ``neighbors``, ``edge_count`` and ``self_loops``
+cost O(degree), and answer for an unknown vertex as for an isolated one.
+The per-vertex maps are replaced, never mutated, so ``copy`` shares them.
+
 Construction methods (``add_vertex``, ``add_edge``) mutate in place;
 everything that combines or transforms whole diagrams (``compose``,
 ``tensor``, ``plugged``, rewrite application) returns a new value and leaves
@@ -23,8 +32,9 @@ its operands untouched.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
+from operator import countOf
+from types import MappingProxyType
 from typing import Optional
 
 from .phase import Phase
@@ -72,6 +82,9 @@ _DEGREE_CAP = {
     VertexType.DIAMOND: 0,
 }
 
+# the incidences of a vertex the diagram does not have
+_NO_EDGES: MappingProxyType = MappingProxyType({})
+
 # Effect/state labels for plugging and Born-rule measurements.
 PLUG_POINTS = ("z+", "z-", "x+", "x-")
 
@@ -99,10 +112,11 @@ class Diagram:
     def __init__(self):
         self.types: dict[int, VertexType] = {}
         self.phases: dict[int, Phase] = {}
-        self.edges: list[tuple[int, int]] = []
+        self._inc: dict[int, dict[int, int]] = {}
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self._next_id = 0
+        self._next_edge = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -115,23 +129,34 @@ class Diagram:
         v = self._next_id
         self._next_id += 1
         self.types[v] = ty
+        self._inc[v] = {}
         if phase is not None:
             self.phases[v] = phase
         return v
 
     def add_edge(self, a: int, b: int) -> None:
-        for v in (a, b):
+        ends = (a,) if a == b else (a, b)
+        for v in ends:
             if v not in self.types:
                 raise InvariantError(f"unknown vertex id {v}")
-        gain = {a: 1}
-        gain[b] = gain.get(b, 0) + 1  # self-loop adds 2 to one vertex
-        for v, extra in gain.items():
+        gain = 2 if a == b else 1  # a self-loop adds 2 to its vertex
+        for v in ends:
             cap = _DEGREE_CAP.get(self.types[v])
-            if cap is not None and self.degree(v) + extra > cap:
+            if cap is not None and len(self._inc[v]) + gain > cap:
                 raise InvariantError(
                     f"vertex {v} ({self.types[v].value}) would exceed degree cap {cap}"
                 )
-        self.edges.append((a, b) if a <= b else (b, a))
+        self._link(a, b)
+
+    def _link(self, a: int, b: int) -> None:
+        """Append the edge a-b under a fresh id, unchecked."""
+        e = self._next_edge
+        self._next_edge += 1
+        if a == b:
+            self._inc[a] = {**self._inc[a], e: a, ~e: a}
+        else:
+            self._inc[a] = {**self._inc[a], e: b}
+            self._inc[b] = {**self._inc[b], e: a}
 
     def add_input(self, attach_to: Optional[int] = None) -> int:
         """Add a boundary vertex, append it to the inputs, optionally wire it."""
@@ -154,20 +179,31 @@ class Diagram:
             raise InvariantError(f"unknown vertex id {v}")
         del self.types[v]
         self.phases.pop(v, None)
-        self.edges = [e for e in self.edges if v not in e]
+        for w in set(self._inc.pop(v).values()):
+            if w != v:
+                self._inc[w] = {e: x for e, x in self._inc[w].items() if x != v}
         self.inputs = [w for w in self.inputs if w != v]
         self.outputs = [w for w in self.outputs if w != v]
 
     def remove_edge(self, a: int, b: int) -> None:
-        """Remove one copy of the edge a-b."""
-        key = (a, b) if a <= b else (b, a)
-        try:
-            self.edges.remove(key)
-        except ValueError:
-            raise InvariantError(f"no edge {a}-{b}") from None
+        """Remove one copy of the edge a-b, the one added first."""
+        inc = self._inc.get(a, _NO_EDGES)
+        e = next((e for e, w in inc.items() if w == b and e >= 0), None)
+        if e is None:
+            raise InvariantError(f"no edge {a}-{b}")
+        for v in {a, b}:
+            self._inc[v] = {k: w for k, w in self._inc[v].items() if k != e and k != ~e}
 
     # ------------------------------------------------------------------
     # queries
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge as ``(low, high)`` in insertion order: a fresh list."""
+        ends = {
+            e: (v, w) for v, inc in self._inc.items() for e, w in inc.items() if v <= w and e >= 0
+        }
+        return [ends[e] for e in sorted(ends)]
 
     def vertices(self) -> list[int]:
         return sorted(self.types)
@@ -182,31 +218,30 @@ class Diagram:
         return len(self.types)
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._inc.values())) // 2
 
     def degree(self, v: int) -> int:
-        return sum((a == v) + (b == v) for a, b in self.edges)
+        return len(self._inc.get(v, _NO_EDGES))
 
     def incident(self, v: int) -> list[tuple[int, int]]:
         """All edges touching v, in insertion order (self-loops once)."""
-        return [e for e in self.edges if v in e]
+        inc = self._inc.get(v, _NO_EDGES)
+        return [(v, w) if v <= w else (w, v) for e, w in inc.items() if e >= 0]
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbour list with multiplicity, self excluded, ascending."""
-        out = []
-        for a, b in self.edges:
-            if a == v and b != v:
-                out.append(b)
-            elif b == v and a != v:
-                out.append(a)
-        return sorted(out)
+        return sorted(w for w in self._inc.get(v, _NO_EDGES).values() if w != v)
 
     def edge_count(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return self.edges.count(key)
+        ends = countOf(self._inc.get(a, _NO_EDGES).values(), b)
+        return ends // 2 if a == b else ends
 
     def self_loops(self, v: int) -> int:
-        return self.edges.count((v, v))
+        return countOf(self._inc.get(v, _NO_EDGES).values(), v) // 2
+
+    def looped(self) -> list[int]:
+        """The vertices carrying a self-loop, ascending."""
+        return sorted(v for v, inc in self._inc.items() if v in inc.values())
 
     def connected_component(self, v: int) -> set[int]:
         seen = {v}
@@ -224,21 +259,16 @@ class Diagram:
 
     def validate(self) -> None:
         """Raise :class:`InvariantError` unless every diagram invariant holds."""
-        degree: Counter = Counter()
-        for a, b in self.edges:
-            if a not in self.types or b not in self.types:
-                raise InvariantError(f"edge {a}-{b} references a missing vertex")
-            degree[a] += 1
-            degree[b] += 1
         for v, ty in self.types.items():
             cap = _DEGREE_CAP.get(ty)
+            degree = len(self._inc[v])
             if ty is VertexType.BOUNDARY:
-                if degree[v] != 1:
+                if degree != 1:
                     raise InvariantError(f"boundary vertex {v} must have degree 1")
             elif ty is VertexType.H:
-                if degree[v] != 2:
+                if degree != 2:
                     raise InvariantError(f"H vertex {v} must have degree 2")
-            elif cap is not None and degree[v] > cap:
+            elif cap is not None and degree > cap:
                 raise InvariantError(f"vertex {v} exceeds degree cap {cap}")
         interface = self.inputs + self.outputs
         for v in interface:
@@ -259,10 +289,11 @@ class Diagram:
         d = Diagram()
         d.types = dict(self.types)
         d.phases = dict(self.phases)
-        d.edges = list(self.edges)
+        d._inc = dict(self._inc)  # the per-vertex maps are never mutated
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
         d._next_id = self._next_id
+        d._next_edge = self._next_edge
         return d
 
     def relabeled(self, mapping: dict[int, int]) -> "Diagram":
@@ -272,12 +303,13 @@ class Diagram:
         d = Diagram()
         d.types = {mapping[v]: t for v, t in self.types.items()}
         d.phases = {mapping[v]: p for v, p in self.phases.items()}
-        d.edges = [
-            tuple(sorted((mapping[a], mapping[b]))) for a, b in self.edges  # type: ignore[misc]
-        ]
+        d._inc = {
+            mapping[v]: {e: mapping[w] for e, w in inc.items()} for v, inc in self._inc.items()
+        }
         d.inputs = [mapping[v] for v in self.inputs]
         d.outputs = [mapping[v] for v in self.outputs]
         d._next_id = max(d.types, default=-1) + 1
+        d._next_edge = self._next_edge
         return d
 
     def _absorb(self, other: "Diagram") -> dict[int, int]:
@@ -288,8 +320,7 @@ class Diagram:
             mapping[v] = self.add_vertex(ty, other.phases.get(v))
         # bypass add_edge: other is assumed valid, caps already satisfied
         for a, b in other.edges:
-            x, y = mapping[a], mapping[b]
-            self.edges.append((x, y) if x <= y else (y, x))
+            self._link(mapping[a], mapping[b])
         return mapping
 
     # ------------------------------------------------------------------
@@ -316,16 +347,12 @@ class Diagram:
         pairs = [(o, mapping[i]) for o, i in zip(self.outputs, second.inputs)]
         for o, i in pairs:
             if d.edge_count(o, i) > 0:
-                loop = d.add_vertex(VertexType.Z, Phase.zero())
-                d.remove_vertex(o)
-                d.remove_vertex(i)
-                d.edges.append((loop, loop))
-                continue
-            (a,) = [x if y == o else y for x, y in d.incident(o)]
-            (b,) = [x if y == i else y for x, y in d.incident(i)]
+                a = b = d.add_vertex(VertexType.Z, Phase.zero())
+            else:
+                (a,), (b,) = d.neighbors(o), d.neighbors(i)
             d.remove_vertex(o)
             d.remove_vertex(i)
-            d.edges.append((a, b) if a <= b else (b, a))
+            d._link(a, b)
         d.outputs = [mapping[v] for v in second.outputs]
         return d
 
@@ -436,10 +463,6 @@ class Diagram:
             f"Diagram({self.num_vertices()} vertices, {self.num_edges()} edges, "
             f"{len(self.inputs)}->{len(self.outputs)})"
         )
-
-
-def new_diagram() -> Diagram:
-    return Diagram()
 
 
 # ----------------------------------------------------------------------

@@ -221,21 +221,21 @@ def replay_derivation(name: str, verify: bool = True) -> Trace:
     trace = Trace(builder(), list(steps))
     replay = trace.replay()
     _, _, d = next(replay)
-    reference = evaluate(d) if verify else None
+    final = reference = evaluate(d) if verify else None
     for _, _, match in steps:
         try:
             _, summary, d = next(replay)
         except Exception as exc:
             raise ReplayError(f"{name}: step {match.summary()} failed: {exc}") from exc
         if verify:
-            verdict = equal_up_to_scalar(evaluate(d), reference)
+            final = evaluate(d)
+            verdict = equal_up_to_scalar(final, reference)
             if not verdict.equal:
                 raise ReplayError(
                     f"{name}: step {summary} broke semantics "
                     f"(residual {verdict.max_residual:.3e})"
                 )
     if verify:
-        final = evaluate(d)
         if expected.shape != final.shape:
             raise ReplayError(
                 f"{name}: final shape {final.shape} != expected {expected.shape}"

@@ -86,39 +86,29 @@ def _match(rule: str, **data) -> Match:
     return Match(rule, tuple(sorted(data.items())))
 
 
-def _other_end(edge: tuple[int, int], v: int) -> int:
-    a, b = edge
-    return b if a == v else a
+def _legs(d: Diagram, v: int) -> list[int]:
+    """The far end of each edge at v, in insertion order; a self-loop gives v once."""
+    return [b if a == v else a for a, b in d.incident(v)]
 
 
 def _spider(d: Diagram, v: int) -> bool:
     return v in d.types and d.types[v].is_spider()
 
 
-def _edge_ends(d: Diagram) -> dict[int, list[int]]:
-    """Every vertex's edge ends, in edge order, from one pass over the edges.
-
-    A self-loop lists the vertex twice, so ``len`` is the degree.
-    """
-    ends: dict[int, list[int]] = {v: [] for v in d.types}
-    for a, b in d.edges:
-        ends[a].append(b)
-        ends[b].append(a)
-    return ends
-
-
 def _around(d: Diagram, degree: int) -> Iterator[tuple[int, list[int]]]:
     """Each spider of the given degree, ascending, with its distinct other
     neighbours, ascending."""
-    ends = _edge_ends(d)
     for v in d.vertices():
-        if len(ends[v]) == degree and d.types[v].is_spider():
-            yield v, sorted(set(ends[v]) - {v})
+        if d.degree(v) == degree and d.types[v].is_spider():
+            yield v, list(dict.fromkeys(d.neighbors(v)))
 
 
-def _linked_pairs(d: Diagram) -> list[tuple[int, int]]:
+def _linked_pairs(d: Diagram) -> Iterator[tuple[int, int]]:
     """The distinct vertex pairs u < v joined by at least one edge, ascending."""
-    return sorted({(a, b) if a < b else (b, a) for a, b in d.edges if a != b})
+    for u in d.vertices():
+        for v in dict.fromkeys(d.neighbors(u)):
+            if v > u:
+                yield u, v
 
 
 class RewriteRule:
@@ -185,15 +175,11 @@ class FuseRule(RewriteRule):
     def _rewrite(self, d: Diagram, m: Match) -> None:
         u, v = m["u"], m["v"]
         d.phases[u] = d.phases[u] + d.phases[v]
-        for edge in d.incident(v):
-            if u in edge and v in edge:
-                continue  # connecting edges disappear
-            w = _other_end(edge, v)
-            if w == v:
-                d.edges.append((u, u))  # self-loop moves over
-            else:
-                d.edges.append((u, w) if u <= w else (w, u))
+        legs = _legs(d, v)
         d.remove_vertex(v)
+        for w in legs:
+            if w != u:  # connecting edges disappear, a self-loop moves over
+                d.add_edge(u, u if w == v else w)
 
 
 class UnfuseRule(RewriteRule):
@@ -211,10 +197,9 @@ class UnfuseRule(RewriteRule):
     roles = ("vertex", "legs", "new_phase")
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
-        ends = _edge_ends(d)
         for v in sorted(d.phases):  # the spiders
             yield unfuse_match(v, (), d.phases[v])
-            for w in sorted(set(ends[v]) - {v}):
+            for w in dict.fromkeys(d.neighbors(v)):
                 yield unfuse_match(v, ((w, 1),), Phase.zero())
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -264,9 +249,9 @@ class IdentityRule(RewriteRule):
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
-        a, b = (_other_end(e, v) for e in d.incident(v))
+        a, b = d.neighbors(v)
         d.remove_vertex(v)
-        d.edges.append((a, b) if a <= b else (b, a))
+        d.add_edge(a, b)
 
 
 class LoopRule(RewriteRule):
@@ -276,8 +261,7 @@ class LoopRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        looped = sorted({a for a, b in d.edges if a == b})
-        return (_match(self.name, vertex=v) for v in looped)
+        return (_match(self.name, vertex=v) for v in d.looped())
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
@@ -322,11 +306,7 @@ class _PointCopyRule(RewriteRule):
     def _rewrite(self, d: Diagram, m: Match) -> None:
         p, s = m["point"], m["spider"]
         colour = d.types[p]
-        legs = [
-            _other_end(e, s)
-            for e in d.incident(s)
-            if p not in e and _other_end(e, s) != s  # self-loops contribute nothing
-        ]
+        legs = [w for w in _legs(d, s) if w not in (p, s)]  # self-loops contribute nothing
         d.remove_vertex(p)
         d.remove_vertex(s)
         for w in legs:
@@ -392,8 +372,8 @@ class PiCommuteRule(RewriteRule):
     def _rewrite(self, d: Diagram, m: Match) -> None:
         x, s = m["pi_vertex"], m["spider"]
         colour = d.types[x]
-        (w,) = [_other_end(e, x) for e in d.incident(x) if s not in e]
-        other_legs = [_other_end(e, s) for e in d.incident(s) if x not in e]
+        (w,) = [y for y in _legs(d, x) if y != s]
+        other_legs = [y for y in _legs(d, s) if y != x]
         d.remove_vertex(x)
         d.phases[s] = -d.phases[s]
         d.add_edge(w, s)
@@ -444,8 +424,8 @@ class BialgebraRule(RewriteRule):
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         z, x = m["z"], m["x"]
-        z_legs = [_other_end(e, z) for e in d.incident(z) if x not in e]
-        x_legs = [_other_end(e, x) for e in d.incident(x) if z not in e]
+        z_legs = [y for y in _legs(d, z) if y != x]
+        x_legs = [y for y in _legs(d, x) if y != z]
         d.remove_vertex(z)
         d.remove_vertex(x)
         xs = [d.add_vertex(VertexType.X, Phase.zero()) for _ in z_legs]
@@ -530,8 +510,7 @@ class ColorChangeRule(RewriteRule):
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
         d.types[v] = VertexType.Z
-        for e in [e for e in d.incident(v) if _other_end(e, v) != v]:
-            w = _other_end(e, v)
+        for w in [u for u in _legs(d, v) if u != v]:
             d.remove_edge(v, w)
             h = d.add_vertex(VertexType.H)
             d.add_edge(v, h)
@@ -548,9 +527,8 @@ class ColorChangeBackwardRule(RewriteRule):
     roles = ("vertex", "hadamards")
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
-        ends = _edge_ends(d)
         for v in d.vertices():
-            hs = tuple(w for w in ends[v] if d.types[w] is VertexType.H)
+            hs = tuple(w for w in _legs(d, v) if d.types[w] is VertexType.H)
             if hs:
                 yield _match(self.name, vertex=v, hadamards=hs)
 
@@ -558,7 +536,7 @@ class ColorChangeBackwardRule(RewriteRule):
         v, hs = m["vertex"], m["hadamards"]
         if d.types.get(v) is not VertexType.Z or not hs:
             return False
-        legs = tuple(_other_end(e, v) for e in d.incident(v) if e != (v, v))
+        legs = tuple(w for w in _legs(d, v) if w != v)
         # each H is joined to v once and its other leg leaves v: an H that
         # loops back onto v is an unverified shape
         return legs == hs and all(
@@ -632,8 +610,7 @@ class ScalarLoopRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        ends = _edge_ends(d)
-        isolated = (v for v in d.vertices() if all(w == v for w in ends[v]))
+        isolated = (v for v in d.vertices() if not d.neighbors(v))
         return (_match(self.name, vertex=v) for v in isolated)
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -706,9 +683,7 @@ class SupplementarityRule(RewriteRule):
     def _rewrite(self, d: Diagram, m: Match) -> None:
         t, p1, p2 = m["center"], m["p1"], m["p2"]
         colour = d.types[t].opposite
-        (rest,) = [
-            _other_end(e, t) for e in d.incident(t) if p1 not in e and p2 not in e
-        ]
+        (rest,) = [w for w in _legs(d, t) if w not in (p1, p2)]
         d.remove_vertex(p1)
         d.remove_vertex(p2)
         d.remove_vertex(t)

@@ -96,6 +96,23 @@ def test_expected_finals_frozen():
         assert equal_up_to_scalar(final, expected_final(name)).equal
 
 
+def test_verified_replay_evaluates_each_diagram_once(monkeypatch):
+    from zxcalc.rewrite import derivations
+
+    calls = []
+
+    def counting_evaluate(d, **kwargs):
+        calls.append(d)
+        return evaluate(d, **kwargs)
+
+    monkeypatch.setattr(derivations, "evaluate", counting_evaluate)
+    trace = replay_derivation("qkd_core")
+    assert len(trace) == 17
+    assert len(calls) == 18  # the start and each step; the last doubles as the final check
+    replay_derivation("qkd_core", verify=False)
+    assert len(calls) == 18
+
+
 def test_stale_script_step_is_named(monkeypatch):
     from zxcalc.rewrite import derivations
 

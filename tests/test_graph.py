@@ -8,7 +8,6 @@ from zxcalc.graph import (
     InvariantError,
     ParseError,
     VertexType,
-    new_diagram,
     parse_zxg,
     serialize_zxg,
     to_dot,
@@ -23,7 +22,7 @@ Z, X = VertexType.Z, VertexType.X
 
 
 def test_new_diagram_empty():
-    d = new_diagram()
+    d = Diagram()
     assert d.num_vertices() == 0 and d.num_edges() == 0
     assert evaluate(d).shape == (1, 1)
     assert evaluate(d)[0, 0] == 1
@@ -140,7 +139,7 @@ def test_tensor_matches_kron():
 
 
 def test_tensor_unit():
-    d = new_diagram().tensor(cnot())
+    d = Diagram().tensor(cnot())
     assert d.is_isomorphic(cnot())
 
 
