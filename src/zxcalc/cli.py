@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +28,12 @@ from .rewrite import (
     replay_derivation,
     simplify,
 )
-from .semantics import ResourceLimitError, equal_up_to_scalar, evaluate
+from .semantics import (
+    DEFAULT_MAX_QUBITS, DEFAULT_TOLERANCE, ResourceLimitError, equal_up_to_scalar, evaluate
+)
 from .protocols import qkd_check_lemmas, qkd_simulate, sdc_n_ghz_verify, sdc_verify_all
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-@dataclass
-class CliConfig:
-    tolerance: float = 1e-9
-    max_qubits: int = 14
-    seed: int = 0
-    step_limit: int = 1000
-    strict_scalars: bool = False
-
-    def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("--tol must be positive")
-        if self.max_qubits < 1 or self.step_limit < 1:
-            raise ValueError("--max-qubits and --steps must be positive")
 
 
 def _format_complex(z: complex) -> str:
@@ -74,8 +60,10 @@ def _write_trace(trace, path: str | None) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="equality tolerance")
-    common.add_argument("--max-qubits", type=int, default=14, help="wire cap for evaluation")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="equality tolerance")
+    common.add_argument(
+        "--max-qubits", type=int, default=DEFAULT_MAX_QUBITS, help="wire cap for evaluation"
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("--steps", type=int, default=1000, help="rewrite step limit")
     common.add_argument(
@@ -124,19 +112,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args, cfg: CliConfig) -> int:
+def _cmd_eval(args) -> int:
     d = _read_diagram(args.file)
-    print(format_matrix(evaluate(d, max_qubits=cfg.max_qubits)))
+    print(format_matrix(evaluate(d, max_qubits=args.max_qubits)))
     return PASS
 
 
-def _cmd_equal(args, cfg: CliConfig) -> int:
-    a = evaluate(_read_diagram(args.file_a), max_qubits=cfg.max_qubits)
-    b = evaluate(_read_diagram(args.file_b), max_qubits=cfg.max_qubits)
+def _cmd_equal(args) -> int:
+    a = evaluate(_read_diagram(args.file_a), max_qubits=args.max_qubits)
+    b = evaluate(_read_diagram(args.file_b), max_qubits=args.max_qubits)
     if a.shape != b.shape:
         print(f"not equal: shapes {a.shape} vs {b.shape}")
         return FAIL
-    verdict = equal_up_to_scalar(a, b, cfg.tolerance)
+    verdict = equal_up_to_scalar(a, b, args.tol)
     if verdict.equal:
         scalar = "both zero" if verdict.scalar is None else _format_complex(verdict.scalar)
         print(f"equal up to scalar λ={scalar} (max residual {verdict.max_residual:.3e})")
@@ -145,9 +133,9 @@ def _cmd_equal(args, cfg: CliConfig) -> int:
     return FAIL
 
 
-def _cmd_rewrite(args, cfg: CliConfig) -> int:
+def _cmd_rewrite(args) -> int:
     d = _read_diagram(args.file)
-    rule = get_rule(args.rule, args.direction, strict_scalars=cfg.strict_scalars)
+    rule = get_rule(args.rule, args.direction, strict_scalars=args.strict_scalars)
     m = next(rule.iter_matches(d), None)
     if m is None:
         print(f"no match for {args.rule} ({args.direction})")
@@ -159,11 +147,11 @@ def _cmd_rewrite(args, cfg: CliConfig) -> int:
     return PASS
 
 
-def _cmd_simplify(args, cfg: CliConfig) -> int:
+def _cmd_simplify(args) -> int:
     d = _read_diagram(args.file)
     out, trace = simplify(
-        d, strategy=args.strategy, step_limit=cfg.step_limit,
-        strict_scalars=cfg.strict_scalars,
+        d, strategy=args.strategy, step_limit=args.steps,
+        strict_scalars=args.strict_scalars,
     )
     _write_trace(trace, args.trace)
     print(f"# {len(trace)} steps ({args.strategy})" + (" [truncated]" if trace.truncated else ""))
@@ -171,14 +159,14 @@ def _cmd_simplify(args, cfg: CliConfig) -> int:
     return PASS
 
 
-def _cmd_soundness(args, cfg: CliConfig) -> int:
-    rule = get_rule(args.rule, args.direction, strict_scalars=cfg.strict_scalars)
-    report = check_soundness(rule, samples=args.samples, seed=cfg.seed, tol=cfg.tolerance)
+def _cmd_soundness(args) -> int:
+    rule = get_rule(args.rule, args.direction, strict_scalars=args.strict_scalars)
+    report = check_soundness(rule, samples=args.samples, seed=args.seed, tol=args.tol)
     print(report.render())
     return PASS if report.passed else FAIL
 
 
-def _cmd_derivations(args, cfg: CliConfig) -> int:
+def _cmd_derivations(args) -> int:
     names = (args.name,) if args.name else DERIVATION_NAMES
     rendered = []
     code = PASS
@@ -201,22 +189,22 @@ def _cmd_derivations(args, cfg: CliConfig) -> int:
     return code
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.protocol == "sdc-ghz":
         if args.n is not None:
-            report = sdc_n_ghz_verify(args.n, tol=cfg.tolerance)
+            report = sdc_n_ghz_verify(args.n, tol=args.tol)
         else:
-            report = sdc_verify_all(tol=cfg.tolerance)
+            report = sdc_verify_all(tol=args.tol)
         print(report.render())
         return PASS if report.passed else FAIL
-    lemmas = qkd_check_lemmas(tol=cfg.tolerance)
+    lemmas = qkd_check_lemmas(tol=args.tol)
     print(lemmas.render())
-    mc = qkd_simulate(args.rounds, seed=cfg.seed)
+    mc = qkd_simulate(args.rounds, seed=args.seed)
     print(mc.render())
     return PASS if (lemmas.passed and mc.passed) else FAIL
 
 
-def _cmd_render(args, cfg: CliConfig) -> int:
+def _cmd_render(args) -> int:
     print(to_dot(_read_diagram(args.file)), end="")
     return PASS
 
@@ -234,18 +222,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig(
-        tolerance=args.tol,
-        max_qubits=args.max_qubits,
-        seed=args.seed,
-        step_limit=args.steps,
-        strict_scalars=args.strict_scalars,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        cfg.validate()
-        return _COMMANDS[args.command](args, cfg)
+        if args.tol <= 0:
+            raise ValueError("--tol must be positive")
+        if args.max_qubits < 1 or args.steps < 1:
+            raise ValueError("--max-qubits and --steps must be positive")
+        return _COMMANDS[args.command](args)
     except (DiagramError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

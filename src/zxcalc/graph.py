@@ -208,12 +208,6 @@ class Diagram:
     def vertices(self) -> list[int]:
         return sorted(self.types)
 
-    def phase(self, v: int) -> Phase:
-        return self.phases[v]
-
-    def type(self, v: int) -> VertexType:
-        return self.types[v]
-
     def num_vertices(self) -> int:
         return len(self.types)
 
@@ -242,17 +236,6 @@ class Diagram:
     def looped(self) -> list[int]:
         """The vertices carrying a self-loop, ascending."""
         return sorted(v for v, inc in self._inc.items() if v in inc.values())
-
-    def connected_component(self, v: int) -> set[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for n in set(self.neighbors(w)):
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return seen
 
     # ------------------------------------------------------------------
     # validation
@@ -385,78 +368,6 @@ class Diagram:
         else:
             d.outputs = [w for w in d.outputs if w != v]
         return d
-
-    # ------------------------------------------------------------------
-    # isomorphism
-
-    def _signature(self, v: int) -> tuple:
-        ty = self.types[v]
-        phase = self.phases.get(v)
-        phase_key = (phase.num, phase.den) if phase is not None else (-1, 0)
-        if v in self.inputs:
-            io = ("i", self.inputs.index(v))
-        elif v in self.outputs:
-            io = ("o", self.outputs.index(v))
-        else:
-            io = ("", -1)
-        return (ty.value, phase_key, self.degree(v), self.self_loops(v), io)
-
-    def is_isomorphic(self, other: "Diagram") -> bool:
-        """Kind/phase/interface-order preserving multigraph isomorphism.
-
-        Backtracking with signature pruning; fine for the diagram sizes this
-        engine works with (tens of vertices).
-        """
-        if (
-            self.num_vertices() != other.num_vertices()
-            or self.num_edges() != other.num_edges()
-            or len(self.inputs) != len(other.inputs)
-            or len(self.outputs) != len(other.outputs)
-        ):
-            return False
-        mine = sorted(self._signature(v) for v in self.types)
-        theirs = sorted(other._signature(v) for v in other.types)
-        if mine != theirs:
-            return False
-
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        # interface order is rigid, seed the mapping with it
-        for a, b in zip(self.inputs + self.outputs, other.inputs + other.outputs):
-            mapping[a] = b
-            used.add(b)
-
-        def consistent(v: int, w: int) -> bool:
-            if self._signature(v) != other._signature(w):
-                return False
-            for u, img in mapping.items():
-                if self.edge_count(v, u) != other.edge_count(w, img):
-                    return False
-            return True
-
-        for a, b in list(mapping.items()):
-            if not consistent(a, b):
-                return False
-
-        free = [v for v in self.vertices() if v not in mapping]
-
-        def extend(k: int) -> bool:
-            if k == len(free):
-                return True
-            v = free[k]
-            for w in other.vertices():
-                if w in used:
-                    continue
-                if consistent(v, w):
-                    mapping[v] = w
-                    used.add(w)
-                    if extend(k + 1):
-                        return True
-                    del mapping[v]
-                    used.remove(w)
-            return False
-
-        return extend(0)
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import Diagram, VertexType
 from .phase import Phase
-from .semantics import born_probability, equal_up_to_scalar, evaluate
+from .semantics import _born_from_vector, equal_up_to_scalar, evaluate
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -217,6 +217,17 @@ def standard_form_vector(k: int) -> np.ndarray:
     return v / math.sqrt(2)
 
 
+def _basis_readout(state: Diagram, tol: float) -> Optional[int]:
+    """The index of the computational basis state ``state`` evaluates to, or
+    None when some other entry exceeds ``tol`` relative to the largest."""
+    vec = evaluate(state).reshape(-1)
+    idx = int(np.argmax(np.abs(vec)))
+    rest = np.delete(np.abs(vec), idx)
+    if np.max(rest) > tol * abs(vec[idx]):
+        return None
+    return idx
+
+
 def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int, int, int]:
     """Measure the k-th GHZ-class state in the GHZ basis and read three bits.
 
@@ -224,11 +235,8 @@ def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int,
     entries below ``tol`` relative); anything else signals a circuit
     transcription error and raises ValueError.
     """
-    state = ghz_class_state(k, table)
-    vec = evaluate(state.compose(ghz_measurement(3))).reshape(-1)
-    idx = int(np.argmax(np.abs(vec)))
-    rest = np.delete(np.abs(vec), idx)
-    if np.max(rest) > tol * abs(vec[idx]):
+    idx = _basis_readout(ghz_class_state(k, table).compose(ghz_measurement(3)), tol)
+    if idx is None:
         raise ValueError(
             f"GHZ measurement of class {k} ({table}) is not a basis state"
         )
@@ -349,11 +357,9 @@ def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
         layer = wire()
         for name in layer_names:
             layer = layer.tensor(pauli(name))
-        vec = evaluate(ghz_state(n).compose(layer).compose(meas)).reshape(-1)
-        idx = int(np.argmax(np.abs(vec)))
-        rest = np.delete(np.abs(vec), idx)
+        idx = _basis_readout(ghz_state(n).compose(layer).compose(meas), tol)
         label = "(" + ",".join(layer_names) + ")"
-        if np.max(rest) > tol * abs(vec[idx]):
+        if idx is None:
             report.add(label, "basis state", "superposition", False)
             continue
         if idx in seen:
@@ -391,6 +397,7 @@ def qkd_check_lemmas(tol: float = 1e-9) -> ProtocolReport:
         verdict = equal_up_to_scalar(rest.reshape(-1, 1), zero_zero.reshape(-1, 1), tol)
         report.add(f"z-minus wire {wire_idx} -> |00>", True, verdict.equal, verdict.equal)
 
+    w_vec = evaluate(w).reshape(-1)
     for decider in range(3):
         others = [k for k in range(3) if k != decider]
         for s2 in "+-":
@@ -399,7 +406,7 @@ def qkd_check_lemmas(tol: float = 1e-9) -> ProtocolReport:
                 labels[decider] = "z+"
                 labels[others[0]] = f"x{s2}"
                 labels[others[1]] = f"x{s3}"
-                p = born_probability(w, labels)
+                p = _born_from_vector(w_vec, labels)
                 if s2 == s3:
                     ok = p > tol
                     report.add(
@@ -423,14 +430,15 @@ def qkd_check_lemmas(tol: float = 1e-9) -> ProtocolReport:
 _ACCEPTED_PATTERNS = {("z", "x", "x"), ("x", "z", "x"), ("x", "x", "z")}
 
 
-def _outcome_distribution(bases: tuple[str, str, str]) -> list[tuple[tuple[str, str, str], float]]:
+def _outcome_distribution(
+    w_vec: np.ndarray, bases: tuple[str, str, str]
+) -> list[tuple[tuple[str, str, str], float]]:
     """Joint Born distribution of the eight sign patterns for a basis triple."""
-    w = w_state()
     out = []
     for bits in range(8):
         signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
         labels = [bases[k] + signs[k] for k in range(3)]
-        out.append((signs, born_probability(w, labels)))
+        out.append((signs, _born_from_vector(w_vec, labels)))
     return out
 
 
@@ -457,7 +465,8 @@ def qkd_simulate(
     all_patterns = [
         (a, b, c) for a in "zx" for b in "zx" for c in "zx"
     ]
-    distributions = {bases: _outcome_distribution(bases) for bases in all_patterns}
+    w_vec = evaluate(w_state()).reshape(-1)
+    distributions = {bases: _outcome_distribution(w_vec, bases) for bases in all_patterns}
     sacrificial = set(eavesdrop_checks or ())
 
     n_basis_accepted = 0

@@ -24,6 +24,8 @@ from .rules import FORWARD, RewriteRule, get_rule
 
 Z, X = VertexType.Z, VertexType.X
 
+_MATCHES_PER_SAMPLE = 4
+
 
 def _phase_pool(rng: random.Random) -> list[Phase]:
     """The four pi/2 multiples plus one random rational multiple of pi."""
@@ -202,10 +204,10 @@ def check_soundness(
     samples: int = 200,
     seed: int = 0,
     tol: float = DEFAULT_TOLERANCE,
-    max_matches_per_sample: int = 4,
 ) -> SoundnessReport:
-    """Apply every match of ``rule`` on ``samples`` random diagrams and compare
-    evaluations up to scalar.  Failures carry .zxg reproduction text."""
+    """Apply the first four matches of ``rule`` on each of ``samples`` random
+    diagrams and compare evaluations up to scalar.  Failures carry .zxg
+    reproduction text."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(rule, str):
@@ -217,7 +219,7 @@ def check_soundness(
         embed_lhs(rule.name, rule.direction, d, rng)
         if len(d.inputs) + len(d.outputs) > 10:
             continue
-        matches = list(islice(rule.iter_matches(d), max_matches_per_sample))
+        matches = list(islice(rule.iter_matches(d), _MATCHES_PER_SAMPLE))
         if not matches:
             continue
         before = evaluate(d)

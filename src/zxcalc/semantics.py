@@ -153,25 +153,17 @@ def _contract_pair(a, b):
     return labels, np.dot(at, bt).reshape((2,) * len(labels))
 
 
-def evaluate(
-    d: Diagram,
-    *,
-    order: str = "greedy",
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> np.ndarray:
+def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Contract a diagram to its ``2**m x 2**n`` matrix.
 
-    ``order`` selects the deterministic contraction heuristic: ``"greedy"``
-    always contracts the pair of parts sharing a label whose result has the
-    smallest rank, then the lowest pair of part ids in creation order
-    (vertices in id order, then each merged part in turn), while
-    ``"sequential"`` takes the lowest such pair of ids.  Both give the same
-    matrix up to floating-point noise; the choice only affects intermediate
-    tensor sizes.  The candidate pairs sit in a heap under exactly that key,
-    which never changes while both parts live: each new part pushes only its
-    own pairs, and a popped pair naming a part already merged away is
-    skipped.  The result is a fresh writeable array that shares no memory
-    with the cached, read-only generator tensors.
+    The contraction order is greedy and deterministic: it always contracts
+    the pair of parts sharing a label whose result has the smallest rank,
+    then the lowest pair of part ids in creation order (vertices in id
+    order, then each merged part in turn).  The candidate pairs sit in a
+    heap under exactly that key, which never changes while both parts live:
+    each new part pushes only its own pairs, and a popped pair naming a part
+    already merged away is skipped.  The result is a fresh writeable array
+    that shares no memory with the cached, read-only generator tensors.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -179,8 +171,6 @@ def evaluate(
         raise ResourceLimitError(
             f"interface has {m + n} wires, exceeding the cap of {max_qubits}"
         )
-    if order not in ("greedy", "sequential"):
-        raise ValueError(f"unknown contraction order {order!r}")
 
     # one label per edge occurrence; free labels for interface pins
     stubs: dict[int, list] = {v: [] for v in d.types}
@@ -206,8 +196,6 @@ def evaluate(
     next_id = len(parts)
 
     def key(i: int, j: int, shared: int) -> tuple:
-        if order == "sequential":
-            return i, j
         return len(parts[i][0]) + len(parts[j][0]) - 2 * shared, i, j
 
     shared = Counter(tuple(ids) for ids in holders.values() if len(ids) == 2)
@@ -302,7 +290,11 @@ def born_probability(state: Diagram, effects) -> float:
         raise ValueError(
             f"{len(state.outputs)} output wires but {len(effects)} effects"
         )
-    vec = evaluate(state).reshape(-1)
+    return _born_from_vector(evaluate(state).reshape(-1), effects)
+
+
+def _born_from_vector(vec: np.ndarray, effects: list) -> float:
+    """:func:`born_probability` on the flat vector of an evaluated state."""
     norm_sq = float(np.real(np.vdot(vec, vec)))
     if norm_sq <= 1e-24:  # numerically zero state
         raise ValueError("state has zero norm")

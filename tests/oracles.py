@@ -1,13 +1,16 @@
-"""Independent dense-linear-algebra oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Everything here is built directly from textbook definitions with numpy and
-never calls the diagram evaluator, so evaluator tests compare two genuinely
-independent routes.
+The matrices are built directly from textbook definitions with numpy and
+never call the diagram evaluator, so evaluator tests compare two genuinely
+independent routes.  Graph isomorphism and connected components come from
+networkx, reading only a diagram's vertex, phase, edge and interface data.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
 SQRT2 = np.sqrt(2)
 
@@ -94,3 +97,38 @@ def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
         return False
     lam = np.vdot(b, a) / np.vdot(b, b)
     return bool(np.max(np.abs(a - lam * b)) <= tol * max(1.0, na))
+
+
+def _nx_graph(d) -> nx.Graph:
+    """``d`` as a simple graph: each node keyed by its type, its phase as
+    ``(num, den)`` and its interface side and position; each edge carries
+    its multiplicity, self-loops included."""
+    g = nx.Graph()
+    for v, ty in d.types.items():
+        phase = d.phases.get(v)
+        if v in d.inputs:
+            io = ("in", d.inputs.index(v))
+        elif v in d.outputs:
+            io = ("out", d.outputs.index(v))
+        else:
+            io = None
+        g.add_node(v, key=(ty.value, None if phase is None else (phase.num, phase.den), io))
+    for a, b in d.edges:
+        mult = g.edges[a, b]["mult"] if g.has_edge(a, b) else 0
+        g.add_edge(a, b, mult=mult + 1)
+    return g
+
+
+def isomorphic(a, b) -> bool:
+    """Type-, phase- and interface-order-preserving multigraph isomorphism."""
+    return nx.is_isomorphic(
+        _nx_graph(a),
+        _nx_graph(b),
+        node_match=categorical_node_match("key", None),
+        edge_match=categorical_edge_match("mult", 0),
+    )
+
+
+def component(d, v: int) -> set[int]:
+    """The vertices of ``d`` connected to ``v``, ``v`` included."""
+    return nx.node_connected_component(_nx_graph(d), v)

@@ -185,6 +185,11 @@ def test_usage_error_exit_2(capsys):
 def test_bad_flag_value_exit_2(cnot_file, capsys):
     code, _, err = run_cli(capsys, "eval", cnot_file, "--tol", "-1")
     assert code == 2
+    assert err == "error: --tol must be positive\n"
+    for flag in ("--max-qubits", "--steps"):
+        code, out, err = run_cli(capsys, "eval", cnot_file, flag, "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-qubits and --steps must be positive\n"
 
 
 def _run_subprocess(*argv):

@@ -6,7 +6,7 @@ from zxcalc.semantics import equal_up_to_scalar, evaluate
 from zxcalc.rewrite import DERIVATION_NAMES, ReplayError, replay_derivation
 from zxcalc.rewrite.derivations import expected_final
 
-from oracles import proportional
+from oracles import component, proportional
 
 
 def final_diagram(trace):
@@ -42,7 +42,7 @@ def test_hopf_six_steps_ending_disconnected():
     assert len(trace) == 6
     assert trace.rules_used() == ["T", "S1", "S1", "HOPF", "S1", "S1"]
     out = final_diagram(trace)
-    comp = out.connected_component(out.inputs[0])
+    comp = component(out, out.inputs[0])
     assert out.outputs[0] not in comp
     assert proportional(evaluate(out), np.array([[1, 1], [0, 0]]))
 

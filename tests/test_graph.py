@@ -16,7 +16,7 @@ from zxcalc.phase import Phase
 from zxcalc.semantics import evaluate
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
 
-from oracles import SIGMA_X, SIGMA_Z, kron_all, proportional
+from oracles import SIGMA_X, SIGMA_Z, isomorphic, kron_all, proportional
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -140,7 +140,7 @@ def test_tensor_matches_kron():
 
 def test_tensor_unit():
     d = Diagram().tensor(cnot())
-    assert d.is_isomorphic(cnot())
+    assert isomorphic(d, cnot())
 
 
 def test_plug_points():
@@ -227,7 +227,7 @@ def test_parse_h_degree_violation_names_vertex():
 def test_round_trip_ghz_isomorphic():
     d = ghz_state()
     again = parse_zxg(serialize_zxg(d))
-    assert again.is_isomorphic(d)
+    assert isomorphic(again, d)
 
 
 def test_round_trip_random(seed=7):
@@ -237,7 +237,7 @@ def test_round_trip_random(seed=7):
     for _ in range(50):
         d = random_diagram(rng)
         again = parse_zxg(serialize_zxg(d))
-        assert again.is_isomorphic(d)
+        assert isomorphic(again, d)
 
 
 def test_isomorphism_respects_phase_and_interface_order():
@@ -247,12 +247,44 @@ def test_isomorphism_respects_phase_and_interface_order():
     b = Diagram()
     v = b.add_vertex(Z, Phase(3, 2))
     b.add_output(v)
-    assert not a.is_isomorphic(b)
+    assert not isomorphic(a, b)
 
     c = cnot()
     flipped = cnot()
     flipped.inputs.reverse()
-    assert not c.is_isomorphic(flipped)
+    assert not isomorphic(c, flipped)
+
+
+def test_isomorphic_oracle_sees_multiplicity_loops_phase_and_order():
+    """A third parallel edge, an extra self-loop, a changed phase and a
+    swapped output order each break isomorphism; a graph conversion that
+    dropped edge multiplicity would miss the first two."""
+    def base():
+        d = Diagram()
+        u, v = d.add_vertex(Z, Phase(1, 2)), d.add_vertex(X)
+        d.add_edge(u, v)
+        d.add_edge(u, v)
+        d.add_edge(v, v)
+        d.add_input(u)
+        d.add_output(u)
+        d.add_output(v)
+        return d, u, v
+
+    d, u, v = base()
+    assert isomorphic(d, base()[0])
+
+    third, _, _ = base()
+    third.add_edge(u, v)
+    loop, _, _ = base()
+    loop.add_edge(v, v)
+    phase, _, _ = base()
+    phase.phases[u] = Phase(3, 2)
+    swapped, _, _ = base()
+    swapped.outputs.reverse()
+    for changed in (third, loop, phase, swapped):
+        changed.validate()
+        assert not isomorphic(d, changed)
+        assert not isomorphic(changed, d)
 
 
 def test_relabeling_preserves_semantics():

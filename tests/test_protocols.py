@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -262,6 +263,37 @@ def test_qkd_simulate_eavesdrop_hook():
 def test_qkd_simulate_rejects_bad_rounds():
     with pytest.raises(ValueError):
         qkd_simulate(0)
+
+
+# sha256 of qkd_simulate(2000, seed=7).render() and qkd_check_lemmas().render(),
+# taken when every Born probability still evaluated its own W state
+QKD_SIMULATE_DIGEST = "e1e8d854c9508deb3595055ebcd53e82507189f0b08040383343a45a6b43b163"
+QKD_LEMMAS_DIGEST = "865a66ddbebf95195fda36ffb3f5ee04ec97559061b93429fffeaaeaaa3c4df0"
+
+
+def test_qkd_reports_pinned():
+    text = qkd_simulate(2000, seed=7).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == QKD_SIMULATE_DIGEST
+    text = qkd_check_lemmas().render()
+    assert hashlib.sha256(text.encode()).hexdigest() == QKD_LEMMAS_DIGEST
+
+
+def test_qkd_evaluates_the_w_state_once(monkeypatch):
+    from zxcalc import protocols
+
+    calls = []
+
+    def counting_evaluate(d, **kwargs):
+        calls.append(d)
+        return evaluate(d, **kwargs)
+
+    monkeypatch.setattr(protocols, "evaluate", counting_evaluate)
+    qkd_simulate(100, seed=1)
+    assert len(calls) == 1
+    qkd_simulate(100, seed=2)
+    assert len(calls) == 2
+    qkd_check_lemmas()
+    assert len(calls) == 2 + 4  # three plugged W states, then the W state itself
 
 
 def test_qkd_round_log_invariants():
