@@ -66,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("--steps", type=int, default=1000, help="rewrite step limit")
-    common.add_argument(
-        "--strict-scalars",
-        action="store_true",
-        help="keep diamond bookkeeping instead of dropping scalar subdiagrams",
-    )
     common.add_argument("--trace", metavar="PATH", help="write the rewrite trace here")
 
     parser = argparse.ArgumentParser(prog="zxcalc", description=__doc__)
@@ -100,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derivations", parents=[common], help="replay scripted derivations")
     p.add_argument("name", nargs="?", choices=DERIVATION_NAMES)
 
-    p = sub.add_parser("verify", parents=[common], help="run a protocol verifier")
+    p = sub.add_parser("verify", help="run a protocol verifier")  # flags follow the protocol
     v = p.add_subparsers(dest="protocol", required=True)
     sdc = v.add_parser("sdc-ghz", parents=[common])
     sdc.add_argument("--n", type=int, help="verify the n-qubit generalisation instead")
@@ -135,7 +130,7 @@ def _cmd_equal(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     d = _read_diagram(args.file)
-    rule = get_rule(args.rule, args.direction, strict_scalars=args.strict_scalars)
+    rule = get_rule(args.rule, args.direction)
     m = next(rule.iter_matches(d), None)
     if m is None:
         print(f"no match for {args.rule} ({args.direction})")
@@ -149,10 +144,7 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_simplify(args) -> int:
     d = _read_diagram(args.file)
-    out, trace = simplify(
-        d, strategy=args.strategy, step_limit=args.steps,
-        strict_scalars=args.strict_scalars,
-    )
+    out, trace = simplify(d, strategy=args.strategy, step_limit=args.steps)
     _write_trace(trace, args.trace)
     print(f"# {len(trace)} steps ({args.strategy})" + (" [truncated]" if trace.truncated else ""))
     print(serialize_zxg(out), end="")
@@ -160,7 +152,7 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_soundness(args) -> int:
-    rule = get_rule(args.rule, args.direction, strict_scalars=args.strict_scalars)
+    rule = get_rule(args.rule, args.direction)
     report = check_soundness(rule, samples=args.samples, seed=args.seed, tol=args.tol)
     print(report.render())
     return PASS if report.passed else FAIL

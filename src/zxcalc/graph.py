@@ -2,9 +2,13 @@
 
 A :class:`Diagram` is an undirected multigraph whose vertices are Z/X spiders
 (with an exact :class:`~zxcalc.phase.Phase`), Hadamard boxes, boundary pins or
-scalar diamonds, together with ordered input/output interfaces.  Self-loops
-and parallel edges are first-class: several rewrite rules create or consume
-them.
+scalar diamonds, together with ordered input/output interfaces and one exact,
+nonzero :class:`~zxcalc.phase.Scalar` that multiplies the whole map.  Rewrites
+multiply into ``scalar`` the factor they remove; ``copy`` and ``relabeled``
+keep it, ``compose`` and ``tensor`` multiply the two.  The ``.zxg`` text
+carries no scalar: a parsed diagram has scalar 1, and serialising drops it.
+Self-loops and parallel edges are first-class: several rewrite rules create
+or consume them.
 
 Structural rules enforced here (and checked by :meth:`Diagram.validate`):
 
@@ -37,7 +41,7 @@ from operator import countOf
 from types import MappingProxyType
 from typing import Optional
 
-from .phase import Phase
+from .phase import Phase, Scalar
 
 
 class DiagramError(Exception):
@@ -84,6 +88,7 @@ _DEGREE_CAP = {
 
 # the incidences of a vertex the diagram does not have
 _NO_EDGES: MappingProxyType = MappingProxyType({})
+_ONE = Scalar()  # immutable, so every fresh diagram shares it
 
 # Effect/state labels for plugging and Born-rule measurements.
 PLUG_POINTS = ("z+", "z-", "x+", "x-")
@@ -117,6 +122,7 @@ class Diagram:
         self.outputs: list[int] = []
         self._next_id = 0
         self._next_edge = 0
+        self.scalar = _ONE
 
     # ------------------------------------------------------------------
     # construction
@@ -277,6 +283,7 @@ class Diagram:
         d.outputs = list(self.outputs)
         d._next_id = self._next_id
         d._next_edge = self._next_edge
+        d.scalar = self.scalar
         return d
 
     def relabeled(self, mapping: dict[int, int]) -> "Diagram":
@@ -293,10 +300,12 @@ class Diagram:
         d.outputs = [mapping[v] for v in self.outputs]
         d._next_id = max(d.types, default=-1) + 1
         d._next_edge = self._next_edge
+        d.scalar = self.scalar
         return d
 
     def _absorb(self, other: "Diagram") -> dict[int, int]:
-        """Copy ``other``'s vertices/edges into self with fresh ids; return the id map."""
+        """Copy ``other``'s vertices, edges and scalar into self; return the id map."""
+        self.scalar = self.scalar * other.scalar
         mapping: dict[int, int] = {}
         for v in other.vertices():
             ty = other.types[v]

@@ -1,8 +1,11 @@
-"""Exact spider phases: rational multiples of pi, normalised into [0, 2*pi)."""
+"""Exact spider phases, rational multiples of pi normalised into [0, 2*pi),
+and the exact nonzero scalars that rewriting multiplies into a diagram."""
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -87,3 +90,28 @@ class Phase:
             num, _, den = text.partition("/")
             return cls(int(num), int(den))
         return cls(int(text))
+
+
+@dataclass(frozen=True)
+class Scalar:
+    """The number ``sqrt(2)**power * e^{i*phase} * prod(1 + e^{i*a} for a in nodes)``.
+
+    ``nodes`` is sorted and no node is pi, so the value is never zero.
+    Products are exact; the float value appears only in ``complex()``.
+    """
+
+    power: int = 0
+    phase: Phase = Phase.zero()
+    nodes: tuple[Phase, ...] = ()
+
+    def __mul__(self, other: "Scalar") -> "Scalar":
+        if not (other.power or other.phase.num or other.nodes):  # other is 1, as is common
+            return self
+        nodes = tuple(sorted(self.nodes + other.nodes, key=lambda a: a.fraction))
+        return Scalar(self.power + other.power, self.phase + other.phase, nodes)
+
+    def __complex__(self) -> complex:
+        value = 2 ** (self.power / 2) * cmath.exp(1j * self.phase.radians)
+        for a in self.nodes:
+            value *= 1 + cmath.exp(1j * a.radians)
+        return value

@@ -279,7 +279,6 @@ class ProtocolReport:
     cases: list[CaseResult] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    notes: list[str] = field(default_factory=list)
     rounds: list[QkdRound] = field(default_factory=list)
 
     @property
@@ -306,7 +305,6 @@ class ProtocolReport:
                 lines.append(f"{key}: {value:.6g}")
             else:
                 lines.append(f"{key}: {value}")
-        lines.extend(self.notes)
         lines.append(
             f"result: {'PASS' if self.passed else 'FAIL'} "
             f"({sum(c.passed for c in self.cases)}/{len(self.cases)} cases)"

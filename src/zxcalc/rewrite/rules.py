@@ -7,9 +7,10 @@ change, bidirectional), D1/D2 (scalar normalisation/deletion),
 E (supplementarity), HOPF (the derived two-wire disconnection) and A (the
 derived pi-absorption through a phased spider).
 
-Every rule is sound up to a global scalar: for any match ``m`` on a valid
-diagram ``d``, ``evaluate(apply(d, m))`` equals ``evaluate(d)`` up to a
-nonzero complex factor.  This is enforced empirically by
+Every rule is sound exactly: for any match ``m`` on a valid diagram ``d``,
+``evaluate(apply(d, m))`` equals ``evaluate(d)``, because each rewrite
+multiplies into the diagram's :class:`~zxcalc.phase.Scalar` the nonzero
+factor it removes.  This is enforced empirically by
 :mod:`zxcalc.rewrite.soundness` rather than by construction: left-hand sides
 are deliberately conservative and reject shapes (self-loops where they would
 change the semantics, parallel-edge corner cases) that were not verified.
@@ -23,7 +24,9 @@ supplies three parts:
 * ``holds(d, m)`` is the single statement of the left-hand side.  Roles
   that the rule treats symmetrically are named in ascending vertex order,
   so a mirrored match does not hold;
-* ``_rewrite(d, m)`` rewrites ``d`` in place.
+* ``_rewrite(d, m)`` rewrites ``d`` in place, reading the phases it needs
+  before it changes them, and multiplies ``d.scalar`` by the factor λ with
+  before = λ · after.
 
 ``iter_matches`` lazily yields the candidates that hold and ``find_matches``
 lists them, so matches come out deterministically, ascending in their vertex
@@ -38,10 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..graph import Diagram, VertexType
-from ..phase import Phase
+from ..phase import Phase, Scalar
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -117,9 +120,6 @@ class RewriteRule:
     name: str = ""
     direction: str = FORWARD
     roles: tuple[str, ...] = ()
-
-    def __init__(self, strict_scalars: bool = False):
-        self.strict_scalars = strict_scalars
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
         raise NotImplementedError
@@ -279,8 +279,8 @@ class LoopRule(RewriteRule):
 # the opposite-colour spider it is plugged into, which therefore explodes
 # into one copy of the point per remaining leg.  B1 is the phase-0 copy
 # through a phase-0 spider, K1 the pi-copy through a phase-0 spider, and A
-# (a derived rule) the pi-copy through a spider of arbitrary phase, which
-# only contributes an extra scalar.
+# (a derived rule) the pi-copy through a spider of arbitrary phase a.  With k
+# copies, the factor removed is sqrt(2)**(1 - k) * e^{ia} (a = 0 for B1, K1).
 
 
 class _PointCopyRule(RewriteRule):
@@ -307,14 +307,12 @@ class _PointCopyRule(RewriteRule):
         p, s = m["point"], m["spider"]
         colour = d.types[p]
         legs = [w for w in _legs(d, s) if w not in (p, s)]  # self-loops contribute nothing
+        d.scalar *= Scalar(1 - len(legs), d.phases[s])
         d.remove_vertex(p)
         d.remove_vertex(s)
         for w in legs:
             q = d.add_vertex(colour, self.point_phase)
             d.add_edge(q, w)
-        if self.strict_scalars and not legs:
-            # the closed point/spider pair is the scalar sqrt(2)
-            d.add_vertex(VertexType.DIAMOND)
 
 
 class CopyRule(_PointCopyRule):
@@ -375,6 +373,7 @@ class PiCommuteRule(RewriteRule):
         (w,) = [y for y in _legs(d, x) if y != s]
         other_legs = [y for y in _legs(d, s) if y != x]
         d.remove_vertex(x)
+        d.scalar *= Scalar(0, d.phases[s])
         d.phases[s] = -d.phases[s]
         d.add_edge(w, s)
         for y in other_legs:
@@ -426,6 +425,7 @@ class BialgebraRule(RewriteRule):
         z, x = m["z"], m["x"]
         z_legs = [y for y in _legs(d, z) if y != x]
         x_legs = [y for y in _legs(d, x) if y != z]
+        d.scalar *= Scalar(1)
         d.remove_vertex(z)
         d.remove_vertex(x)
         xs = [d.add_vertex(VertexType.X, Phase.zero()) for _ in z_legs]
@@ -478,6 +478,7 @@ class BialgebraBackwardRule(RewriteRule):
             (outer[v],) = [u for u in d.neighbors(v) if u not in quad]
         for v in quad:
             d.remove_vertex(v)
+        d.scalar *= Scalar(-1)
         z = d.add_vertex(VertexType.Z, Phase.zero())
         x = d.add_vertex(VertexType.X, Phase.zero())
         d.add_edge(z, x)
@@ -560,11 +561,11 @@ class ColorChangeBackwardRule(RewriteRule):
 
 
 class ScalarPairRule(RewriteRule):
-    """An isolated point pair of opposite colours is a known scalar.
+    """An isolated point pair of opposite colours, one phase in {0, pi}.
 
-    With one phase exactly 0 the value is exactly sqrt(2): strict mode
-    normalises the pair to a diamond.  In up-to-scalar mode any pair whose
-    value is guaranteed nonzero (one phase in {0, pi}) is deleted.
+    Its value is sqrt(2), times e^{ib} when that phase is pi and b is the
+    other one: never zero.  The pair is deleted and its value multiplied
+    into the diagram's scalar.
     """
 
     name = "D1"
@@ -575,7 +576,7 @@ class ScalarPairRule(RewriteRule):
 
     def holds(self, d: Diagram, m: Match) -> bool:
         p, q = m["p"], m["q"]
-        if not (
+        return (
             p < q
             and _spider(d, p)
             and _spider(d, q)
@@ -583,27 +584,23 @@ class ScalarPairRule(RewriteRule):
             and d.degree(p) == 1
             and d.degree(q) == 1
             and d.edge_count(p, q) == 1
-        ):
-            return False
-        if self.strict_scalars:
-            return d.phases[p].is_zero() or d.phases[q].is_zero()
-        return d.phases[p] in _CLIFFORD_PI or d.phases[q] in _CLIFFORD_PI
+            and (d.phases[p] in _CLIFFORD_PI or d.phases[q] in _CLIFFORD_PI)
+        )
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
+        a, b = d.phases[m["p"]], d.phases[m["q"]]
+        d.scalar *= Scalar(1, b if a.is_pi() else a if b.is_pi() else Phase.zero())
         d.remove_vertex(m["p"])
         d.remove_vertex(m["q"])
-        if self.strict_scalars:
-            d.add_vertex(VertexType.DIAMOND)
 
 
 class ScalarLoopRule(RewriteRule):
     """Circles, free spiders and diamonds: the remaining scalar subdiagrams.
 
-    An isolated spider (only self-loops) has value 1 + e^{i a}; for a = 0
-    that is 2 = sqrt(2)^2, so strict mode replaces it by two diamonds.
-    In up-to-scalar mode any nonzero isolated scalar vertex (a != pi) and
-    any lone diamond is simply deleted.  The zero scalar (a = pi) is never
-    touched: deleting it would change the map, not just its normalisation.
+    An isolated spider (only self-loops) has value 1 + e^{i a} and a lone
+    diamond sqrt(2); either is deleted and its value multiplied into the
+    diagram's scalar.  The zero scalar (a = pi) is never touched: a
+    diagram's scalar is never zero.
     """
 
     name = "D2"
@@ -614,29 +611,17 @@ class ScalarLoopRule(RewriteRule):
         return (_match(self.name, vertex=v) for v in isolated)
 
     def holds(self, d: Diagram, m: Match) -> bool:
-        return self._shape(d, m["vertex"]) is not None
-
-    def _shape(self, d: Diagram, v: int) -> Optional[str]:
-        if v not in d.types:
-            return None
-        ty = d.types[v]
-        if ty is VertexType.DIAMOND:
-            return None if self.strict_scalars else "diamond"
-        if not ty.is_spider():
-            return None
-        if d.degree(v) != 2 * d.self_loops(v):
-            return None  # has plain legs
-        phase = d.phases[v]
-        if self.strict_scalars:
-            return "two" if phase.is_zero() else None
-        return None if phase.is_pi() else "nonzero"
+        v = m["vertex"]
+        return d.types.get(v) is VertexType.DIAMOND or (
+            _spider(d, v)
+            and d.degree(v) == 2 * d.self_loops(v)  # no plain legs
+            and not d.phases[v].is_pi()
+        )
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
-        kind = self._shape(d, m["vertex"])
-        d.remove_vertex(m["vertex"])
-        if kind == "two":
-            d.add_vertex(VertexType.DIAMOND)
-            d.add_vertex(VertexType.DIAMOND)
+        v = m["vertex"]
+        d.scalar *= Scalar(nodes=(d.phases[v],)) if v in d.phases else Scalar(1)
+        d.remove_vertex(v)
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +632,8 @@ class SupplementarityRule(RewriteRule):
     """Two opposite-colour pi points on a degree-3 {0, pi} spider collapse.
 
     The spider and both points are consumed and a single pi point of the
-    points' colour lands on the remaining wire (value scaled by +-sqrt(2)).
+    points' colour lands on the remaining wire; the factor removed is
+    sqrt(2) * e^{ia} for the centre phase a.
     Both phase variants (centre phase 0 or pi) and both colour polarities
     are matched; all four were verified by the oracle.
     """
@@ -684,6 +670,7 @@ class SupplementarityRule(RewriteRule):
         t, p1, p2 = m["center"], m["p1"], m["p2"]
         colour = d.types[t].opposite
         (rest,) = [w for w in _legs(d, t) if w not in (p1, p2)]
+        d.scalar *= Scalar(1, d.phases[t])
         d.remove_vertex(p1)
         d.remove_vertex(p2)
         d.remove_vertex(t)
@@ -716,6 +703,7 @@ class HopfRule(RewriteRule):
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         u, v = m["u"], m["v"]
+        d.scalar *= Scalar(-2)
         d.remove_edge(u, v)
         d.remove_edge(u, v)
 
@@ -749,10 +737,10 @@ _RULES: dict[tuple[str, str], type[RewriteRule]] = {
 RULE_NAMES = tuple(dict.fromkeys(name for name, _ in _RULES))
 
 
-def get_rule(name: str, direction: str = FORWARD, strict_scalars: bool = False) -> RewriteRule:
+def get_rule(name: str, direction: str = FORWARD) -> RewriteRule:
     """Look up a rule instance by name and direction."""
     if name not in RULE_NAMES:
         raise ValueError(f"unknown rule {name!r}")
     if (name, direction) not in _RULES:
         raise ValueError(f"rule {name} has no {direction} direction")
-    return _RULES[name, direction](strict_scalars)
+    return _RULES[name, direction]()

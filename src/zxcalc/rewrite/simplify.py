@@ -95,34 +95,26 @@ def _safe_b1_filter(d: Diagram, m: Match) -> bool:
     return len(others) <= 2
 
 
-def simplify(
-    d: Diagram,
-    strategy: str = "safe",
-    step_limit: int = 1000,
-    strict_scalars: bool = False,
-) -> tuple[Diagram, Trace]:
+def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tuple[Diagram, Trace]:
     """Repeatedly apply the first available rewrite until none fires.
 
     Each step tries the rules in priority order and applies the first match
     that holds, in candidate order, of the first rule that has one: the
     match ``rule.find_matches(d)[0]``, found without listing the others.
     Returns the simplified diagram and its trace, the log of the matches
-    taken (see :class:`Trace`).  The result is always evaluate-equal to the
-    input up to a scalar (exactly equal in strict scalar mode for the
-    D-family).  A hit step limit returns the partial result with
-    ``trace.truncated`` set rather than raising.
+    taken (see :class:`Trace`).  The result evaluates exactly as the input
+    does: each step multiplies its factor into the diagram's scalar.  A hit
+    step limit returns the partial result with ``trace.truncated`` set
+    rather than raising.
     """
     if strategy not in ("safe", "full"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if step_limit < 1:
         raise ValueError("step_limit must be positive")
 
-    rules = [(name, get_rule(name, strict_scalars=strict_scalars)) for name in _SAFE_RULES]
+    rules = [(name, get_rule(name)) for name in _SAFE_RULES]
     if strategy == "full":
-        rules += [
-            (name, get_rule(name, direction, strict_scalars=strict_scalars))
-            for name, direction in _FULL_EXTRA
-        ]
+        rules += [(name, get_rule(name, direction)) for name, direction in _FULL_EXTRA]
 
     trace = Trace(d)
     for _ in range(step_limit):

@@ -17,8 +17,10 @@ Generator semantics:
 * boundary: an identity wire end;
 * diamond: the scalar sqrt(2).
 
-Scalars are tracked exactly; nothing is ever normalised away.  A self-loop
-contracts two axes of the same vertex tensor (a partial trace).
+Scalars are tracked exactly; nothing is ever normalised away.  The
+diagram's own ``scalar`` multiplies the contracted matrix, unless it is 1:
+then the matrix is returned as contracted, bytes and signed zeros included.
+A self-loop contracts two axes of the same vertex tensor (a partial trace).
 
 Generator tensors are read-only: spider tensors of up to ten legs are cached
 by colour, phase and degree, and the H, boundary and diamond tensors are
@@ -42,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import Diagram, VertexType
+from .phase import Scalar
 
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
@@ -229,7 +232,8 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     want = [("out", k) for k in range(m)] + [("in", k) for k in range(n)]
     perm = [labels.index(lab) for lab in want]
     tensor = np.transpose(tensor, perm) if perm else tensor
-    return np.asarray(tensor, dtype=complex).reshape(2**m, 2**n)
+    out = np.asarray(tensor, dtype=complex).reshape(2**m, 2**n)
+    return out if d.scalar == Scalar() else out * complex(d.scalar)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from zxcalc.cli import main
+from zxcalc.cli import _build_parser, main
 from zxcalc.graph import parse_zxg, serialize_zxg
 from zxcalc.protocols import cnot, ghz_class_state, ghz_state
 from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, replay_derivation
@@ -13,9 +13,8 @@ from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, repl
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 # sha256 over the render() of every derivation, then the `rewrite --trace` file
-# ("" when there is no match) of every diagrams/*.zxg x (rule, direction) with
-# --strict-scalars off and on; computed with the snapshot-per-step Trace
-TRACES_DIGEST = "40230c04277380f160c35153280548ac3d155b228f561b937b4e89b4e0035a10"
+# ("" when there is no match) of every diagrams/*.zxg x (rule, direction)
+TRACES_DIGEST = "8883499c0ea4a9a537e7e8f2c54416517843984f49fd1b15b778822132ef9404"
 
 
 @pytest.fixture
@@ -128,12 +127,11 @@ def test_derivation_and_rewrite_traces_pinned(tmp_path, capsys):
     trace_path = tmp_path / "trace.txt"
     for path in sorted(DIAGRAMS.glob("*.zxg")):
         for name, direction in pairs:
-            for strict in ([], ["--strict-scalars"]):
-                trace_path.write_text("")
-                argv = ["rewrite", name, str(path), "--direction", direction]
-                run_cli(capsys, *argv, "--trace", str(trace_path), *strict)
-                texts.append(trace_path.read_text())
-    assert len(texts) == 231
+            trace_path.write_text("")
+            argv = ["rewrite", name, str(path), "--direction", direction]
+            run_cli(capsys, *argv, "--trace", str(trace_path))
+            texts.append(trace_path.read_text())
+    assert len(texts) == 119
     digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
     assert digest == TRACES_DIGEST
 
@@ -142,6 +140,15 @@ def test_soundness_cli(capsys):
     code, out, _ = run_cli(capsys, "soundness", "S1", "--samples", "30", "--seed", "2")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_soundness_cli_reports_vacuous_and_skipped(capsys):
+    code, out, _ = run_cli(capsys, "soundness", "HOPF")
+    assert code == 0
+    assert out == (
+        "soundness HOPF (forward): 186 applications over 200 samples, seed 0: "
+        "0 failures, 64 vacuous, 40 skipped\n"
+    )
 
 
 def test_derivations_cli(capsys, tmp_path):
@@ -168,6 +175,21 @@ def test_verify_qkd(capsys):
     code, out, _ = run_cli(capsys, "verify", "qkd-w3", "--rounds", "500", "--seed", "7")
     assert code == 0
     assert "qkd-w3-lemmas" in out and "qkd-w3-mc" in out
+
+
+def test_verify_flags_follow_the_protocol(capsys):
+    # after the protocol name the flags take effect
+    code, out, _ = run_cli(capsys, "verify", "qkd-w3", "--rounds", "200", "--seed", "3")
+    assert code == 0
+    assert "seed: 3" in out
+    args = _build_parser().parse_args(["verify", "sdc-ghz", "--tol", "0.5"])
+    assert args.tol == 0.5
+    # before it they are a usage error, not silently replaced by defaults
+    for argv in (["--tol", "0.5", "sdc-ghz"], ["--seed", "3", "qkd-w3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_render_dot(cnot_file, capsys):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from zxcalc.graph import parse_zxg
+from zxcalc.phase import Scalar
 from zxcalc.semantics import equal_up_to_scalar, evaluate
 from zxcalc.rewrite import DERIVATION_NAMES, ReplayError, replay_derivation
 from zxcalc.rewrite.derivations import expected_final
+from zxcalc.rewrite.rules import HopfRule
 
 from oracles import component, proportional
 
@@ -35,6 +37,28 @@ def test_every_step_is_semantics_preserving():
         reference = evaluate(snapshots[0])
         for snap in snapshots[1:]:
             assert equal_up_to_scalar(evaluate(snap), reference).equal
+
+
+def test_each_step_evaluates_exactly_as_the_start():
+    """The replayed diagrams carry their scalar, so no step may change the
+    value at all, not even by a global factor."""
+    for name in DERIVATION_NAMES:
+        diagrams = [d for _, _, d in replay_derivation(name, verify=False).replay()]
+        start = evaluate(diagrams[0])
+        for d in diagrams[1:]:
+            assert np.allclose(evaluate(d), start, rtol=0, atol=1e-12), name
+
+
+def test_a_wrong_factor_breaks_the_replay(monkeypatch):
+    rewrite = HopfRule._rewrite
+
+    def off_by_sqrt2(self, d, m):
+        rewrite(self, d, m)
+        d.scalar = d.scalar * Scalar(1)
+
+    monkeypatch.setattr(HopfRule, "_rewrite", off_by_sqrt2)
+    with pytest.raises(ReplayError, match=r"^hopf: step HOPF at \[8, 9\] broke semantics"):
+        replay_derivation("hopf")
 
 
 def test_hopf_six_steps_ending_disconnected():
@@ -74,6 +98,9 @@ def test_rule_a_matches_its_rule():
     rule = get_rule("A")
     direct = rule.apply(start, rule.find_matches(start)[0])
     assert equal_up_to_scalar(evaluate(derived), evaluate(direct)).equal
+    # and with the scalars the replay carries, the same value exactly
+    *_, (_, _, replayed) = trace.replay()
+    assert np.allclose(evaluate(replayed), evaluate(direct), rtol=0, atol=1e-12)
 
 
 def test_qkd_core_ends_in_nonzero_scalar():

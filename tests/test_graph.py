@@ -12,7 +12,7 @@ from zxcalc.graph import (
     serialize_zxg,
     to_dot,
 )
-from zxcalc.phase import Phase
+from zxcalc.phase import Phase, Scalar
 from zxcalc.semantics import evaluate
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
 
@@ -298,6 +298,31 @@ def test_relabeling_preserves_semantics():
         rng.shuffle(shuffled)
         mapping = dict(zip(ids, shuffled))
         assert np.allclose(evaluate(d.relabeled(mapping)), evaluate(d), atol=1e-12)
+
+
+def test_scalar_is_kept_by_copies_and_multiplied_by_composition():
+    a, b = cnot(), cnot()
+    a.scalar = Scalar(1, Phase(1, 2))
+    b.scalar = Scalar(-3, Phase(1), (Phase(1, 3),))
+    product = Scalar(-2, Phase(3, 2), (Phase(1, 3),))
+    assert a.compose(b).scalar == product
+    assert a.tensor(b).scalar == product
+    assert b.tensor(a).scalar == product
+    assert a.copy().scalar == a.scalar
+    assert a.relabeled({v: v + 10 for v in a.types}).scalar == a.scalar
+    assert a.plugged("input", 0, "z+").scalar == a.scalar
+    # the operands keep their own
+    assert (a.scalar, b.scalar) == (Scalar(1, Phase(1, 2)), Scalar(-3, Phase(1), (Phase(1, 3),)))
+    plain = cnot().compose(cnot())
+    assert np.allclose(evaluate(a.compose(b)), complex(product) * evaluate(plain), atol=1e-12)
+
+
+def test_zxg_carries_no_scalar():
+    d = cnot()
+    d.scalar = Scalar(3, Phase(1, 4))
+    text = serialize_zxg(d)
+    assert text == serialize_zxg(cnot())
+    assert parse_zxg(text).scalar == Scalar()
 
 
 def test_to_dot_labels():

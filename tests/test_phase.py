@@ -1,10 +1,11 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from zxcalc.phase import Phase
+from zxcalc.phase import Phase, Scalar
 
 
 def test_normalisation_into_two_pi():
@@ -63,3 +64,23 @@ def test_immutable():
     p = Phase(1, 2)
     with pytest.raises(AttributeError):
         p.num = 3
+
+
+def test_scalar_value_and_exact_product():
+    one = Scalar()
+    assert complex(one) == 1
+    a = Scalar(3, Phase(1, 2), (Phase(1, 3),))
+    b = Scalar(-1, Phase(1, 2), (Phase(0), Phase(1, 4)))
+    product = a * b
+    assert product == Scalar(2, Phase(1), (Phase(0), Phase(1, 4), Phase(1, 3)))
+    assert product == b * a  # nodes are kept sorted
+    expected = 2 * -1 * 2 * (1 + cmath.exp(1j * math.pi / 4)) * (1 + cmath.exp(1j * math.pi / 3))
+    assert abs(complex(product) - expected) < 1e-12
+    assert a * one == a
+    assert complex(Scalar(-2)) == 0.5  # even powers of sqrt(2) are exact
+
+
+def test_scalar_immutable():
+    s = Scalar(1)
+    with pytest.raises(AttributeError):
+        s.power = 2

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from zxcalc.graph import Diagram, VertexType, parse_zxg
-from zxcalc.phase import Phase
+from zxcalc.phase import Phase, Scalar
 from zxcalc.protocols import cnot
-from zxcalc.semantics import equal_up_to_scalar, evaluate
+from zxcalc.semantics import evaluate
 from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, Match, StaleMatchError, get_rule
 from zxcalc.rewrite.rules import unfuse_match
 from zxcalc.rewrite.soundness import embed_lhs, random_diagram
@@ -37,8 +38,14 @@ def chain(*vertices):
     return d, ids
 
 
+def exactly_equal(a, b, tol=1e-9):
+    """Entrywise equality within tol * max(1, max|b|): no free scalar."""
+    return np.allclose(a, b, rtol=0, atol=tol * max(1.0, np.abs(b).max()))
+
+
 def preserved(rule, d, m):
-    return equal_up_to_scalar(evaluate(rule.apply(d, m)), evaluate(d)).equal
+    """apply keeps the evaluated matrix exactly, its scalar included."""
+    return exactly_equal(evaluate(rule.apply(d, m)), evaluate(d))
 
 
 # ----------------------------------------------------------------------
@@ -321,15 +328,16 @@ def test_d1_deletes_scalar_pair():
     assert preserved(rule, d, m)
 
 
-def test_d1_strict_normalises_to_diamond():
+def test_d1_multiplies_sqrt2_into_the_scalar():
     d = Diagram()
     p = d.add_vertex(Z, Phase(0))
     q = d.add_vertex(X, Phase(1, 2))
     d.add_edge(p, q)
-    rule = get_rule("D1", strict_scalars=True)
+    rule = get_rule("D1")
     m = rule.find_matches(d)[0]
     out = rule.apply(d, m)
-    assert [out.types[v] for v in out.vertices()] == [VertexType.DIAMOND]
+    assert out.num_vertices() == 0  # no rule creates a diamond
+    assert out.scalar == Scalar(1)
     assert np.allclose(evaluate(out), evaluate(d), atol=1e-12)
 
 
@@ -352,14 +360,11 @@ def test_d2_circle_and_diamond():
         m = rule.find_matches(out)[0]
         out = rule.apply(out, m)
     assert out.num_vertices() == 0
-
-    strict = get_rule("D2", strict_scalars=True)
-    m = strict.find_matches(d)
-    assert [mm["vertex"] for mm in m] == [v]
-    out = strict.apply(d, m[0])
-    diamonds = [w for w in out.vertices() if out.types[w] is VertexType.DIAMOND]
-    assert len(diamonds) == 3
+    # the circle Z(0) is 1 + e^0 = 2 and the diamond sqrt(2): both land in
+    # the scalar, so the empty diagram evaluates exactly as before
+    assert out.scalar == Scalar(1, Phase(0), (Phase(0),))
     assert np.allclose(evaluate(out), evaluate(d), atol=1e-12)
+    assert np.allclose(evaluate(out), [[2 * math.sqrt(2)]], atol=1e-12)
 
 
 def test_d2_keeps_zero_scalar():
@@ -439,6 +444,118 @@ def test_hopf_needs_exactly_two_edges():
 
 
 # ----------------------------------------------------------------------
+# exact scalars: one minimal instance per (rule, direction)
+
+
+def _wired(d, ins=(), outs=()):
+    for v in ins:
+        d.add_input(v)
+    for v in outs:
+        d.add_output(v)
+    return d
+
+
+def _pair(a, b, edges=1):
+    d = Diagram()
+    u, v = d.add_vertex(*a), d.add_vertex(*b)
+    for _ in range(edges):
+        d.add_edge(u, v)
+    return d, u, v
+
+
+def _s2b_instance():
+    d = Diagram()
+    v = d.add_vertex(Z, Phase(1, 4))
+    d.add_edge(v, v)
+    return _wired(d, outs=[v])
+
+
+def _a_instance():
+    d, p, s = _point_on_spider(X, Phase(1), Phase(1, 3), legs=2)
+    d.add_edge(s, s)  # a self-loop is not a leg: k stays 2
+    return d
+
+
+def _k2_instance():
+    d, x, s = _pair((X, Phase(1)), (Z, Phase(1, 4)))
+    return _wired(d, ins=[x], outs=[s, s])
+
+
+def _b2_instance():
+    d, z, x = _pair((Z, Phase(0)), (X, Phase(0)))
+    return _wired(d, ins=[z, z], outs=[x, x])
+
+
+def _square_instance():
+    d = Diagram()
+    xs = [d.add_vertex(X, Phase(0)) for _ in range(2)]
+    zs = [d.add_vertex(Z, Phase(0)) for _ in range(2)]
+    for a in xs:
+        for b in zs:
+            d.add_edge(a, b)
+    return _wired(d, ins=xs, outs=zs)
+
+
+def _c_backward_instance():
+    d = Diagram()
+    v = d.add_vertex(Z, Phase(1, 2))
+    for _ in range(2):
+        h = d.add_vertex(VertexType.H)
+        d.add_edge(v, h)
+        d.add_output(h)
+    return d
+
+
+def _hopf_instance():
+    d, z, x = _pair((Z, Phase(1, 4)), (X, Phase(0)), edges=2)
+    return _wired(d, ins=[z], outs=[x])
+
+
+def _d2_instance():
+    d = Diagram()
+    v = d.add_vertex(X, Phase(1, 2))
+    d.add_edge(v, v)
+    return d
+
+
+# (rule, direction): (start diagram, the scalar apply multiplies in)
+SCALAR_CASES = {
+    ("S1", FORWARD): (lambda: chain((Z, Phase(1, 2)), (Z, Phase(1, 2)))[0], Scalar()),
+    ("S1", BACKWARD): (lambda: chain((Z, Phase(1, 3)))[0], Scalar()),
+    ("S2a", FORWARD): (lambda: chain((X, Phase(0)))[0], Scalar()),
+    ("S2b", FORWARD): (_s2b_instance, Scalar()),
+    ("B1", FORWARD): (lambda: _point_on_spider(X, Phase(0), Phase(0), legs=2)[0], Scalar(-1)),
+    ("K1", FORWARD): (lambda: _point_on_spider(Z, Phase(1), Phase(0), legs=3)[0], Scalar(-2)),
+    ("A", FORWARD): (_a_instance, Scalar(-1, Phase(1, 3))),
+    ("K2", FORWARD): (_k2_instance, Scalar(0, Phase(1, 4))),
+    ("B2", FORWARD): (_b2_instance, Scalar(1)),
+    ("B2", BACKWARD): (_square_instance, Scalar(-1)),
+    ("C", FORWARD): (lambda: chain((X, Phase(1, 2)))[0], Scalar()),
+    ("C", BACKWARD): (_c_backward_instance, Scalar()),
+    ("D1", FORWARD): (lambda: _pair((Z, Phase(1)), (X, Phase(1, 3)))[0], Scalar(1, Phase(1, 3))),
+    ("D2", FORWARD): (_d2_instance, Scalar(0, Phase(0), (Phase(1, 2),))),
+    ("E", FORWARD): (lambda: _supplementarity(Z, Phase(1))[0], Scalar(1, Phase(1))),
+    ("HOPF", FORWARD): (_hopf_instance, Scalar(-2)),
+}
+
+
+def test_every_pair_has_a_scalar_case():
+    assert set(SCALAR_CASES) == set(PAIRS)
+
+
+@pytest.mark.parametrize("name,direction", PAIRS)
+def test_apply_multiplies_in_the_exact_scalar(name, direction):
+    build, factor = SCALAR_CASES[name, direction]
+    d = build()
+    rule = get_rule(name, direction)
+    out = rule.apply(d, rule.find_matches(d)[0])
+    assert out.scalar == factor
+    before = evaluate(d)
+    assert np.abs(before).max() > 0.1  # not vacuous: a wrong factor shows
+    assert exactly_equal(evaluate(out), before, tol=1e-12)
+
+
+# ----------------------------------------------------------------------
 # generic contracts
 
 
@@ -493,7 +610,7 @@ def test_locality_disjoint_component_untouched():
 
 # sha256 of "\n".join(repr([m.data for m in matches])) over every
 # find_matches call below; it pins the match sets and their order
-MATCH_DIGEST = "6d094ae1f066a93c86e4bf14dfd6745d673c2be3d1aa39226e97cae9229c4b45"
+MATCH_DIGEST = "e966ae94ee2617e62c7ff7383c132e35aeb836861e5643baf6463eeeb77aa0d4"
 
 
 def test_match_lists_pinned():
@@ -509,12 +626,11 @@ def test_match_lists_pinned():
         ladder = ladder.compose(cnot())
     diagrams.append(ladder)
     lines = [
-        repr([m.data for m in get_rule(name, direction, strict_scalars=strict).find_matches(d)])
+        repr([m.data for m in get_rule(name, direction).find_matches(d)])
         for d in diagrams
         for name, direction in PAIRS
-        for strict in (False, True)
     ]
-    assert len(lines) == 13056
+    assert len(lines) == 6528
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MATCH_DIGEST
 
 
@@ -543,16 +659,15 @@ def test_candidates_never_miss_a_match(name, direction):
     for _ in range(6):
         d = random_diagram(rng, max_vertices=5, max_boundaries=2)
         embed_lhs(name, direction, d, rng)
-        for strict in (False, True):
-            rule = get_rule(name, direction, strict_scalars=strict)
-            brute = set()
-            for ids in itertools.product(d.vertices(), repeat=len(rule.roles)):
-                m = Match(rule.name, tuple(sorted(zip(rule.roles, ids))))
-                if rule.holds(d, m):
-                    brute.add(m)
-            matches = rule.find_matches(d)
-            assert brute == set(matches)
-            found += len(matches)
+        rule = get_rule(name, direction)
+        brute = set()
+        for ids in itertools.product(d.vertices(), repeat=len(rule.roles)):
+            m = Match(rule.name, tuple(sorted(zip(rule.roles, ids))))
+            if rule.holds(d, m):
+                brute.add(m)
+        matches = rule.find_matches(d)
+        assert brute == set(matches)
+        found += len(matches)
     assert found > 0
 
 

@@ -9,6 +9,7 @@ from zxcalc.rewrite import (
     get_rule,
     random_diagram,
 )
+from zxcalc.rewrite.rules import HopfRule
 
 
 def test_random_diagram_valid_and_bounded():
@@ -52,8 +53,31 @@ def test_report_render_mentions_rule():
     assert "HOPF" in text and "failures" in text
 
 
-def test_strict_variants_also_sound():
+def test_scalar_rules_exactly_sound():
+    """B1, K1, D1 and D2 delete closed scalar subdiagrams: the check
+    compares entry by entry, so each deleted value must be in the scalar."""
     for name in ("B1", "K1", "D1", "D2"):
-        rule = get_rule(name, strict_scalars=True)
-        report = check_soundness(rule, samples=50, seed=5)
+        report = check_soundness(get_rule(name), samples=50, seed=5)
         assert report.passed, report.render()
+        assert report.vacuous < report.checks
+
+
+def test_soundness_has_no_free_scalar(monkeypatch):
+    """A rule that drops its factor fails the check."""
+    rewrite = HopfRule._rewrite
+
+    def forgetful(self, d, m):
+        scalar = d.scalar
+        rewrite(self, d, m)
+        d.scalar = scalar
+
+    monkeypatch.setattr(HopfRule, "_rewrite", forgetful)
+    report = check_soundness("HOPF", samples=50, seed=0)
+    assert report.checks > 0 and not report.passed
+    assert len(report.failures) == report.checks - report.vacuous
+
+
+def test_vacuous_and_skipped_counts():
+    report = check_soundness("B2", samples=200, seed=0)
+    assert (report.checks, report.vacuous, report.skipped) == (129, 21, 79)
+    assert report.render().endswith("0 failures, 21 vacuous, 79 skipped")
