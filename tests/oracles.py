@@ -99,6 +99,11 @@ def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(a - lam * b)) <= tol * max(1.0, na))
 
 
+def exactly_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """Entrywise equality within ``tol * max(1, max|b|)``: no free scalar."""
+    return bool(np.allclose(a, b, rtol=0, atol=tol * max(1.0, np.abs(b).max())))
+
+
 def _nx_graph(d) -> nx.Graph:
     """``d`` as a simple graph: each node keyed by its type, its phase as
     ``(num, den)`` and its interface side and position; each edge carries

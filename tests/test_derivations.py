@@ -8,7 +8,7 @@ from zxcalc.rewrite import DERIVATION_NAMES, ReplayError, replay_derivation
 from zxcalc.rewrite.derivations import expected_final
 from zxcalc.rewrite.rules import HopfRule
 
-from oracles import component, proportional
+from oracles import component, exactly_equal, proportional
 
 
 def final_diagram(trace):
@@ -46,7 +46,7 @@ def test_each_step_evaluates_exactly_as_the_start():
         diagrams = [d for _, _, d in replay_derivation(name, verify=False).replay()]
         start = evaluate(diagrams[0])
         for d in diagrams[1:]:
-            assert np.allclose(evaluate(d), start, rtol=0, atol=1e-12), name
+            assert exactly_equal(evaluate(d), start, tol=1e-12), name
 
 
 def test_a_wrong_factor_breaks_the_replay(monkeypatch):
@@ -100,7 +100,7 @@ def test_rule_a_matches_its_rule():
     assert equal_up_to_scalar(evaluate(derived), evaluate(direct)).equal
     # and with the scalars the replay carries, the same value exactly
     *_, (_, _, replayed) = trace.replay()
-    assert np.allclose(evaluate(replayed), evaluate(direct), rtol=0, atol=1e-12)
+    assert exactly_equal(evaluate(replayed), evaluate(direct), tol=1e-12)
 
 
 def test_qkd_core_ends_in_nonzero_scalar():

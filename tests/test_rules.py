@@ -15,7 +15,7 @@ from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, Match, StaleMatchError
 from zxcalc.rewrite.rules import unfuse_match
 from zxcalc.rewrite.soundness import embed_lhs, random_diagram
 
-from oracles import SIGMA_X, isomorphic, proportional, z_spider_matrix
+from oracles import SIGMA_X, exactly_equal, isomorphic, proportional, z_spider_matrix
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -36,11 +36,6 @@ def chain(*vertices):
     d.add_input(ids[0])
     d.add_output(ids[-1])
     return d, ids
-
-
-def exactly_equal(a, b, tol=1e-9):
-    """Entrywise equality within tol * max(1, max|b|): no free scalar."""
-    return np.allclose(a, b, rtol=0, atol=tol * max(1.0, np.abs(b).max()))
 
 
 def preserved(rule, d, m):

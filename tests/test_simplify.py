@@ -21,7 +21,7 @@ from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, _safe_b1_filter
 from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
 
-from oracles import component, isomorphic, proportional
+from oracles import component, exactly_equal, isomorphic, proportional
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -164,8 +164,7 @@ def test_simplify_is_exact():
         before = evaluate(d)
         for strategy in ("safe", "full"):
             out, _ = simplify(d, strategy=strategy)
-            bound = 1e-9 * max(1.0, np.abs(before).max())
-            assert np.allclose(evaluate(out), before, rtol=0, atol=bound), serialize_zxg(d)
+            assert exactly_equal(evaluate(out), before), serialize_zxg(d)
 
 
 class _SnapshotTrace:
