@@ -1,19 +1,19 @@
 """Open multigraphs for ZX diagrams.
 
 A :class:`Diagram` is an undirected multigraph whose vertices are Z/X spiders
-(with an exact :class:`~zxcalc.phase.Phase`), Hadamard boxes, boundary pins or
-scalar diamonds, together with ordered input/output interfaces and one exact,
-nonzero :class:`~zxcalc.phase.Scalar` that multiplies the whole map.  Rewrites
+(with an exact :class:`~zxcalc.phase.Phase`), Hadamard boxes or boundary
+pins, together with ordered input/output interfaces and one exact, nonzero
+:class:`~zxcalc.phase.Scalar` that multiplies the whole map.  Rewrites
 multiply into ``scalar`` the factor they remove; ``copy`` and ``relabeled``
 keep it, ``compose`` and ``tensor`` multiply the two.  The ``.zxg`` text
-carries no scalar: a parsed diagram has scalar 1, and serialising drops it.
-Self-loops and parallel edges are first-class: several rewrite rules create
-or consume them.
+carries it as a ``scalar`` line, so parsing what ``serialize_zxg`` wrote
+gives back the same scalar.  Self-loops and parallel edges are first-class:
+several rewrite rules create or consume them.
 
 Structural rules enforced here (and checked by :meth:`Diagram.validate`):
 
-* H vertices have degree exactly 2, boundaries exactly 1, diamonds 0
-  (a self-loop counts twice towards the degree);
+* H vertices have degree exactly 2, boundaries exactly 1 (a self-loop counts
+  twice towards the degree);
 * every interface entry is a boundary vertex and appears in exactly one of
   the two interface sequences;
 * vertex ids are handed out by a monotone counter and never reused, so
@@ -65,7 +65,6 @@ class VertexType(Enum):
     X = "X"
     H = "H"
     BOUNDARY = "B"
-    DIAMOND = "D"
 
     def is_spider(self) -> bool:
         return self in (VertexType.Z, VertexType.X)
@@ -80,35 +79,22 @@ class VertexType(Enum):
 
 
 # Maximum degree per vertex type; None means unbounded.
-_DEGREE_CAP = {
-    VertexType.H: 2,
-    VertexType.BOUNDARY: 1,
-    VertexType.DIAMOND: 0,
-}
+_DEGREE_CAP = {VertexType.H: 2, VertexType.BOUNDARY: 1}
 
 # the incidences of a vertex the diagram does not have
 _NO_EDGES: MappingProxyType = MappingProxyType({})
 _ONE = Scalar()  # immutable, so every fresh diagram shares it
 
-# Effect/state labels for plugging and Born-rule measurements.
-PLUG_POINTS = ("z+", "z-", "x+", "x-")
-
-
-def _plug_vertex(point: str) -> tuple[VertexType, Phase]:
-    """The arity-1 spider realising a basis state/effect.
-
-    z+/z- are X spiders of phase 0/pi (|0>, |1> up to scalar), x+/x- are
-    Z spiders of phase 0/pi (|+>, |-> up to scalar).
-    """
-    if point == "z+":
-        return VertexType.X, Phase.zero()
-    if point == "z-":
-        return VertexType.X, Phase.pi()
-    if point == "x+":
-        return VertexType.Z, Phase.zero()
-    if point == "x-":
-        return VertexType.Z, Phase.pi()
-    raise ValueError(f"unknown plug point {point!r}; expected one of {PLUG_POINTS}")
+# The arity-1 spider realising each basis state/effect: z+/z- are X spiders
+# of phase 0/pi (|0>, |1> up to scalar), x+/x- are Z spiders of phase 0/pi
+# (|+>, |-> up to scalar).  The labels serve plugging and Born-rule measurements.
+_PLUGS = {
+    "z+": (VertexType.X, Phase.zero()),
+    "z-": (VertexType.X, Phase.pi()),
+    "x+": (VertexType.Z, Phase.zero()),
+    "x-": (VertexType.Z, Phase.pi()),
+}
+PLUG_POINTS = tuple(_PLUGS)
 
 
 class Diagram:
@@ -249,16 +235,11 @@ class Diagram:
     def validate(self) -> None:
         """Raise :class:`InvariantError` unless every diagram invariant holds."""
         for v, ty in self.types.items():
-            cap = _DEGREE_CAP.get(ty)
             degree = len(self._inc[v])
-            if ty is VertexType.BOUNDARY:
-                if degree != 1:
-                    raise InvariantError(f"boundary vertex {v} must have degree 1")
-            elif ty is VertexType.H:
-                if degree != 2:
-                    raise InvariantError(f"H vertex {v} must have degree 2")
-            elif cap is not None and degree > cap:
-                raise InvariantError(f"vertex {v} exceeds degree cap {cap}")
+            if ty is VertexType.BOUNDARY and degree != 1:
+                raise InvariantError(f"boundary vertex {v} must have degree 1")
+            if ty is VertexType.H and degree != 2:
+                raise InvariantError(f"H vertex {v} must have degree 2")
         interface = self.inputs + self.outputs
         for v in interface:
             if v not in self.types:
@@ -367,7 +348,9 @@ class Diagram:
         seq = self.inputs if which == "input" else self.outputs
         if not 0 <= position < len(seq):
             raise InvariantError(f"{which} index {position} out of range")
-        ty, phase = _plug_vertex(point)
+        if point not in _PLUGS:
+            raise ValueError(f"unknown plug point {point!r}; expected one of {PLUG_POINTS}")
+        ty, phase = _PLUGS[point]
         d = self.copy()
         v = seq[position]
         d.types[v] = ty
@@ -389,11 +372,16 @@ class Diagram:
 # .zxg interchange format
 #
 # Line-based, '#' starts a comment, blank lines ignored:
-#   node <id> Z <phase> | node <id> X <phase> | node <id> H | node <id> B | node <id> D
+#   node <id> Z <phase> | node <id> X <phase> | node <id> H | node <id> B
 #   edge <id> <id>
 #   inputs <id> ...
 #   outputs <id> ...
+#   scalar <power> <phase> [<node phase> ...]
 # Phases are integers or fractions in units of pi ("1" = pi, "1/2" = pi/2).
+# Each scalar line multiplies the Scalar it spells into the diagram's.  A node
+# phase of pi (its factor 1 + e^{i pi} is 0) is refused, and so is a total
+# whose float value overflows or underflows.  "node <id> D" is sugar for
+# "scalar 1 0", the factor sqrt(2); it adds no vertex.
 
 
 def parse_zxg(text: str) -> Diagram:
@@ -401,10 +389,11 @@ def parse_zxg(text: str) -> Diagram:
 
     Raises :class:`ParseError` with the offending line number on syntax
     errors, and :class:`InvariantError` (naming the vertex) when the parsed
-    graph breaks a structural invariant.
+    graph breaks a structural invariant or its scalar leaves the float range.
     """
     d = Diagram()
     names: dict[str, int] = {}
+    diamonds: set[str] = set()
     pending_edges: list[tuple[str, str, int]] = []
     pending_io: list[tuple[str, str, int]] = []
 
@@ -418,7 +407,7 @@ def parse_zxg(text: str) -> Diagram:
             if len(parts) < 3:
                 raise ParseError("node needs an id and a kind", lineno)
             name, kind = parts[1], parts[2]
-            if name in names:
+            if name in names or name in diamonds:
                 raise ParseError(f"duplicate node id {name!r}", lineno)
             if kind in ("Z", "X"):
                 if len(parts) != 4:
@@ -431,7 +420,11 @@ def parse_zxg(text: str) -> Diagram:
             elif kind in ("H", "B", "D"):
                 if len(parts) != 3:
                     raise ParseError(f"{kind} node takes no phase", lineno)
-                names[name] = d.add_vertex(VertexType(kind))
+                if kind == "D":
+                    diamonds.add(name)
+                    d.scalar *= Scalar(1)
+                else:
+                    names[name] = d.add_vertex(VertexType(kind))
             else:
                 raise ParseError(f"unknown node kind {kind!r}", lineno)
         elif directive == "edge":
@@ -441,6 +434,16 @@ def parse_zxg(text: str) -> Diagram:
         elif directive in ("inputs", "outputs"):
             for name in parts[1:]:
                 pending_io.append((directive, name, lineno))
+        elif directive == "scalar":
+            try:
+                power, *phases = parts[1:]
+                phase, *nodes = map(Phase.from_token, phases)
+                factor = Scalar(int(power), phase, tuple(nodes))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError("scalar needs an integer power and phase tokens", lineno) from None
+            if Phase.pi() in factor.nodes:
+                raise ParseError("a scalar node of phase 1 (pi) has the factor 0", lineno)
+            d.scalar *= factor  # the product sorts the nodes
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
@@ -472,13 +475,22 @@ def parse_zxg(text: str) -> Diagram:
                 raise InvariantError(
                     f"boundary node {name!r} must appear in exactly one of inputs/outputs"
                 )
+    try:
+        in_range = 0 < abs(complex(d.scalar)) < float("inf")
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise InvariantError("the scalar is out of floating-point range")
     d.validate()
     return d
 
 
 def serialize_zxg(d: Diagram) -> str:
-    """Render a diagram as canonical .zxg text (nodes and edges sorted)."""
-    lines = []
+    """Render a diagram as canonical .zxg text (nodes and edges sorted); a
+    scalar other than 1 comes first, as one ``scalar`` line."""
+    s = d.scalar
+    tokens = ["scalar", str(s.power), *map(Phase.token, (s.phase, *s.nodes))]
+    lines = [] if s == _ONE else [" ".join(tokens)]
     for v in d.vertices():
         ty = d.types[v]
         if ty.is_spider():
@@ -505,8 +517,6 @@ def to_dot(d: Diagram) -> str:
             attrs = f'label="{label}", shape=circle, style=filled, fillcolor={color}'
         elif ty is VertexType.H:
             attrs = 'label="H", shape=square, style=filled, fillcolor=yellow'
-        elif ty is VertexType.DIAMOND:
-            attrs = 'label="√2", shape=diamond, style=filled, fillcolor=black, fontcolor=white'
         else:
             if v in d.inputs:
                 label = f"in {d.inputs.index(v)}"

@@ -54,13 +54,13 @@ class Phase:
         return math.pi * self.num / self.den
 
     def __add__(self, other: "Phase") -> "Phase":
-        return Phase(self.fraction + other.fraction)
+        return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "Phase") -> "Phase":
-        return Phase(self.fraction - other.fraction)
+        return Phase(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.fraction)
+        return Phase(-self.num, self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Phase) and self.num == other.num and self.den == other.den

@@ -3,7 +3,7 @@
 Thirteen rules: S1 (spider fusion, bidirectional), S2a (identity removal),
 S2b (self-loop removal, the graph residue of wire yanking), B1 (copy),
 B2 (bialgebra, bidirectional), K1 (pi-copy), K2 (pi-commutation), C (colour
-change, bidirectional), D1/D2 (scalar normalisation/deletion),
+change, bidirectional), D1/D2 (closed pairs and free spiders into the scalar),
 E (supplementarity), HOPF (the derived two-wire disconnection) and A (the
 derived pi-absorption through a phased spider).
 
@@ -75,11 +75,7 @@ class Match:
 
     @property
     def vertex_ids(self) -> list[int]:
-        ids = []
-        for _, v in self.data:
-            if isinstance(v, int):
-                ids.append(v)
-        return sorted(set(ids))
+        return sorted({v for _, v in self.data if isinstance(v, int)})
 
     def summary(self) -> str:
         return f"{self.rule} at {self.vertex_ids}"
@@ -595,12 +591,11 @@ class ScalarPairRule(RewriteRule):
 
 
 class ScalarLoopRule(RewriteRule):
-    """Circles, free spiders and diamonds: the remaining scalar subdiagrams.
+    """Circles and free spiders: the remaining scalar subdiagrams.
 
-    An isolated spider (only self-loops) has value 1 + e^{i a} and a lone
-    diamond sqrt(2); either is deleted and its value multiplied into the
-    diagram's scalar.  The zero scalar (a = pi) is never touched: a
-    diagram's scalar is never zero.
+    An isolated spider (only self-loops) has value 1 + e^{i a}; it is
+    deleted and its value multiplied into the diagram's scalar.  The zero
+    scalar (a = pi) is never touched: a diagram's scalar is never zero.
     """
 
     name = "D2"
@@ -612,7 +607,7 @@ class ScalarLoopRule(RewriteRule):
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
-        return d.types.get(v) is VertexType.DIAMOND or (
+        return (
             _spider(d, v)
             and d.degree(v) == 2 * d.self_loops(v)  # no plain legs
             and not d.phases[v].is_pi()
@@ -620,7 +615,7 @@ class ScalarLoopRule(RewriteRule):
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
-        d.scalar *= Scalar(nodes=(d.phases[v],)) if v in d.phases else Scalar(1)
+        d.scalar *= Scalar(nodes=(d.phases[v],))
         d.remove_vertex(v)
 
 

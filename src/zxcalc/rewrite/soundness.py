@@ -9,7 +9,8 @@ embedding does not always leave a match: its extra legs may be wired back
 into the pattern itself.  Such samples, and those with more than ten
 interface wires, are counted as ``skipped``; an application whose diagram
 evaluates to within ``tol`` of zero cannot show a wrong factor and is
-counted as ``vacuous``.
+counted as ``vacuous``.  A failure's repro is the sample's ``.zxg`` text,
+``scalar`` line included, so it parses back to the value that was checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from ..graph import Diagram, VertexType, serialize_zxg
-from ..phase import Phase
+from ..phase import Phase, Scalar
 from ..semantics import DEFAULT_TOLERANCE, evaluate
 from .rules import FORWARD, RewriteRule, get_rule
 
@@ -40,7 +41,7 @@ def _phase_pool(rng: random.Random) -> list[Phase]:
 
 def random_diagram(rng: random.Random, max_vertices: int = 8, max_boundaries: int = 4) -> Diagram:
     """A random valid diagram: spiders with random wiring, a few H boxes,
-    maybe a diamond, and up to ``max_boundaries`` interface pins."""
+    maybe a scalar sqrt(2), and up to ``max_boundaries`` interface pins."""
     phases = _phase_pool(rng)
     d = Diagram()
     n_spiders = rng.randint(1, max(1, max_vertices - 2))
@@ -57,7 +58,7 @@ def random_diagram(rng: random.Random, max_vertices: int = 8, max_boundaries: in
         d.add_edge(h, rng.choice(spiders))
         budget -= 1
     if budget > 0 and rng.random() < 0.2:
-        d.add_vertex(VertexType.DIAMOND)
+        d.scalar *= Scalar(1)
     n_bound = rng.randint(0, max_boundaries)
     for k in range(n_bound):
         v = rng.choice(spiders)
@@ -151,7 +152,7 @@ def embed_lhs(name: str, direction: str, d: Diagram, rng: random.Random) -> None
         v = d.add_vertex(rng.choice((Z, X)), rng.choice((zero, Phase(1, 2))))
         if rng.random() < 0.6:
             d.add_edge(v, v)
-        d.add_vertex(VertexType.DIAMOND)
+        d.scalar *= Scalar(1)
     elif name == "E":
         centre_colour = rng.choice((Z, X))
         t = d.add_vertex(centre_colour, rng.choice((zero, pi)))

@@ -14,8 +14,7 @@ Generator semantics:
 * X spider: the Z tensor conjugated by a Hadamard on every leg, i.e. the same
   map written in the |+>/|-> basis;
 * H: the 2x2 Hadamard including its 1/sqrt(2) normalisation;
-* boundary: an identity wire end;
-* diamond: the scalar sqrt(2).
+* boundary: an identity wire end.
 
 Scalars are tracked exactly; nothing is ever normalised away.  The
 diagram's own ``scalar`` multiplies the contracted matrix, unless it is 1:
@@ -23,8 +22,8 @@ then the matrix is returned as contracted, bytes and signed zeros included.
 A self-loop contracts two axes of the same vertex tensor (a partial trace).
 
 Generator tensors are read-only: spider tensors of up to ten legs are cached
-by colour, phase and degree, and the H, boundary and diamond tensors are
-module constants.  Contraction keeps an index from each edge label to the
+by colour, phase and degree, and the H and boundary tensors are module
+constants.  Contraction keeps an index from each edge label to the
 parts holding it and a heap of the pairs of parts that share a label.  The
 greedy order takes the pair with the smallest result rank, then the lowest
 pair of part ids in creation order: vertices first in id order, then each
@@ -58,7 +57,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # generator tensors shared by every evaluation
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 _WIRE = _read_only(np.eye(2, dtype=complex))
-_DIAMOND = _read_only(np.asarray(np.sqrt(2), dtype=complex))
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -109,13 +107,7 @@ def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
     ty = d.types[v]
     if ty.is_spider():
         return spider_tensor(ty, d.phases[v], legs)
-    if ty is VertexType.H:
-        return HADAMARD
-    if ty is VertexType.BOUNDARY:
-        return _WIRE
-    if ty is VertexType.DIAMOND:
-        return _DIAMOND
-    raise AssertionError(f"unhandled vertex type {ty}")
+    return HADAMARD if ty is VertexType.H else _WIRE  # the other kind is a boundary
 
 
 def _trace_repeats(labels: list, tensor: np.ndarray) -> tuple[list, np.ndarray]:

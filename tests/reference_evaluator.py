@@ -4,7 +4,8 @@ It scans every pair of parts for a shared label on each step and builds every
 generator tensor from scratch.  ``evaluate`` must reproduce its results byte
 for byte, and its exceptions type for type and message for message: the
 indexed contraction loop picks the same pair with the same operand order at
-every step, so not even the floating-point rounding may differ.
+every step, so not even the floating-point rounding may differ.  It ignores
+the diagram's ``scalar``: callers multiply it in.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
         return HADAMARD.copy()
     if ty is VertexType.BOUNDARY:
         return np.eye(2, dtype=complex)
-    if ty is VertexType.DIAMOND:
-        return np.asarray(np.sqrt(2), dtype=complex)
     raise AssertionError(f"unhandled vertex type {ty}")
 
 

@@ -90,9 +90,7 @@ def test_criterion_1_generator_fidelity():
     d.add_input(h)
     d.add_output(h)
     entries["Hadamard"] = (d, H_MAT)
-    d = Diagram()
-    d.add_vertex(VertexType.DIAMOND)
-    entries["diamond"] = (d, np.array([[math.sqrt(2)]]))
+    entries["diamond"] = (parse_zxg("node d D\n"), np.array([[math.sqrt(2)]]))
 
     worst = 0.0
     for name, (diagram, expected) in entries.items():

@@ -9,12 +9,15 @@ from zxcalc.cli import _build_parser, main
 from zxcalc.graph import parse_zxg, serialize_zxg
 from zxcalc.protocols import cnot, ghz_class_state, ghz_state
 from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, replay_derivation
+from zxcalc.semantics import evaluate
+
+from oracles import exactly_equal
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 # sha256 over the render() of every derivation, then the `rewrite --trace` file
 # ("" when there is no match) of every diagrams/*.zxg x (rule, direction)
-TRACES_DIGEST = "8883499c0ea4a9a537e7e8f2c54416517843984f49fd1b15b778822132ef9404"
+TRACES_DIGEST = "977a3ba542ded857dadc10b32bf11b05dda55e7f68089f9f660f167ed691e387"
 
 
 @pytest.fixture
@@ -212,6 +215,49 @@ def test_bad_flag_value_exit_2(cnot_file, capsys):
         code, out, err = run_cli(capsys, "eval", cnot_file, flag, "0")
         assert (code, out) == (2, "")
         assert err == "error: --max-qubits and --steps must be positive\n"
+
+
+HOSTILE_SCALARS = {
+    "pi node": ("scalar 1 0 1\n", "error: line 1: a scalar node of phase 1 (pi) has the factor 0\n"),
+    "malformed": (
+        "node z Z 0\nscalar 1 1/0\n",
+        "error: line 2: scalar needs an integer power and phase tokens\n",
+    ),
+    "overflow": ("scalar 5000 0\n", "error: the scalar is out of floating-point range\n"),
+    "2100 diamonds": (
+        "".join(f"node d{k} D\n" for k in range(2100)),
+        "error: the scalar is out of floating-point range\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "simplify", "render"])
+@pytest.mark.parametrize("case", HOSTILE_SCALARS)
+def test_hostile_scalar_exit_2(tmp_path, capsys, case, command):
+    text, message = HOSTILE_SCALARS[case]
+    path = tmp_path / "hostile.zxg"
+    path.write_text(text)
+    assert run_cli(capsys, command, str(path)) == (2, "", message)
+
+
+def test_hostile_scalar_has_no_traceback_or_warning(tmp_path):
+    text, message = HOSTILE_SCALARS["2100 diamonds"]
+    path = tmp_path / "hostile.zxg"
+    path.write_text(text)
+    proc = _run_subprocess("eval", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+
+
+@pytest.mark.parametrize("strategy", ["safe", "full"])
+def test_simplify_prints_a_diagram_of_the_same_value(capsys, strategy):
+    """The printed .zxg carries the scalar the rewrites multiplied in."""
+    for path in sorted(DIAGRAMS.glob("*.zxg")):
+        code, out, _ = run_cli(capsys, "simplify", str(path), "--strategy", strategy)
+        assert code == 0
+        printed = parse_zxg(out)  # the step-count header is a comment
+        assert exactly_equal(evaluate(printed), evaluate(parse_zxg(path.read_text()))), path
+    code, out, _ = run_cli(capsys, "simplify", str(DIAGRAMS / "hopf_lhs.zxg"))
+    assert "\nscalar -2 0\n" in out
 
 
 def _run_subprocess(*argv):

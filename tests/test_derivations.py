@@ -31,12 +31,14 @@ def test_all_derivations_replay_clean():
 
 
 def test_every_step_is_semantics_preserving():
+    """The .zxg snapshots carry the scalar, so each parsed snapshot evaluates
+    exactly as the start does."""
     for name in DERIVATION_NAMES:
         trace = replay_derivation(name, verify=False)
         snapshots = [parse_zxg(s.snapshot) for s in trace.steps]
         reference = evaluate(snapshots[0])
         for snap in snapshots[1:]:
-            assert equal_up_to_scalar(evaluate(snap), reference).equal
+            assert exactly_equal(evaluate(snap), reference), name
 
 
 def test_each_step_evaluates_exactly_as_the_start():
@@ -169,6 +171,7 @@ step 0: start
   edge 0 3
   outputs 2 3
 step 1: B1 at [0, 1]
+  scalar -1 0
   node 2 B
   node 3 B
   node 4 X 0

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from zxcalc.graph import (
     Diagram,
@@ -52,9 +54,6 @@ def test_degree_caps():
     d.add_edge(b, z)
     with pytest.raises(InvariantError):
         d.add_edge(b, z)
-    dia = d.add_vertex(VertexType.DIAMOND)
-    with pytest.raises(InvariantError):
-        d.add_edge(dia, z)
     with pytest.raises(InvariantError):
         d.add_edge(z, 999)
 
@@ -317,19 +316,69 @@ def test_scalar_is_kept_by_copies_and_multiplied_by_composition():
     assert np.allclose(evaluate(a.compose(b)), complex(product) * evaluate(plain), atol=1e-12)
 
 
-def test_zxg_carries_no_scalar():
+def test_zxg_carries_the_scalar():
     d = cnot()
-    d.scalar = Scalar(3, Phase(1, 4))
+    d.scalar = Scalar(3, Phase(1, 4), (Phase(0), Phase(1, 3)))
     text = serialize_zxg(d)
-    assert text == serialize_zxg(cnot())
-    assert parse_zxg(text).scalar == Scalar()
+    assert text == "scalar 3 1/4 0 1/3\n" + serialize_zxg(cnot())
+    again = parse_zxg(text)
+    assert again.scalar == d.scalar
+    assert serialize_zxg(again) == text
+    assert evaluate(again).tobytes() == evaluate(d).tobytes()
+    # scalar 1 writes no line; several lines multiply, nodes in any order
+    assert serialize_zxg(cnot()).splitlines()[0].startswith("node ")
+    parsed = parse_zxg("scalar 1 1/4 1/3\nscalar 2 0 0\n" + serialize_zxg(cnot()))
+    assert parsed.scalar == d.scalar
+
+
+def test_diamond_is_sugar_for_sqrt2():
+    d = parse_zxg("node a D\nnode b D\nnode z Z 1/2\n")
+    assert d.num_vertices() == 1
+    assert d.scalar == Scalar(2)
+    assert serialize_zxg(d) == "scalar 2 0\nnode 0 Z 1/2\n"
+    assert parse_zxg("scalar 1 0\n").scalar == parse_zxg("node a D\n").scalar
+    assert set(VertexType) == {Z, X, VertexType.H, VertexType.BOUNDARY}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("scalar 1 0 1\n", "line 1: a scalar node of phase 1 (pi) has the factor 0"),
+        ("scalar 1 0 1/2 3/1\n", "line 1: a scalar node of phase 1 (pi) has the factor 0"),
+        ("node z Z 0\nscalar 1\n", "line 2: scalar needs an integer power and phase tokens"),
+        ("scalar\n", "line 1: scalar needs an integer power and phase tokens"),
+        ("scalar 1/2 0\n", "line 1: scalar needs an integer power and phase tokens"),
+        ("scalar 1 x\n", "line 1: scalar needs an integer power and phase tokens"),
+        ("scalar 1 0 1/0\n", "line 1: scalar needs an integer power and phase tokens"),
+        ("node a D\nnode a Z 0\n", "line 2: duplicate node id 'a'"),
+        ("node a D 1\n", "line 1: D node takes no phase"),
+        ("node a D\nnode z Z 0\nedge a z\n", "line 3: edge references unknown node 'a'"),
+    ],
+)
+def test_bad_scalar_lines_name_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_zxg(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scalar 5000 0\n",
+        "scalar -5000 0\n",  # underflows to 0
+        "scalar 0 0" + " 0" * 1100 + "\n",  # 2**1100 from the nodes
+        "".join(f"node d{k} D\n" for k in range(2100)),
+    ],
+)
+def test_scalar_outside_float_range_is_refused(text):
+    with pytest.raises(InvariantError, match="scalar is out of floating-point range"):
+        parse_zxg(text)
 
 
 def test_to_dot_labels():
     d = Diagram()
     z = d.add_vertex(Z, Phase(1, 2))
     x = d.add_vertex(X, Phase.zero())
-    d.add_vertex(VertexType.DIAMOND)
     d.add_edge(z, x)
     d.add_input(z)
     d.add_output(x)
@@ -339,4 +388,52 @@ def test_to_dot_labels():
     assert 'label="X:0"' in dot
     assert 'label="in 0"' in dot
     assert 'label="out 0"' in dot
-    assert "√2" in dot
+
+
+# ----------------------------------------------------------------------
+# property: parse_zxg inverts serialize_zxg exactly, the scalar included
+
+_phases = st.builds(Phase, st.integers(-24, 24), st.integers(1, 12))
+_scalars = st.builds(
+    Scalar,
+    st.integers(-40, 40),
+    _phases,
+    st.lists(_phases.filter(lambda a: not a.is_pi()), max_size=4).map(
+        lambda nodes: tuple(sorted(nodes, key=lambda a: a.fraction))
+    ),
+)
+
+
+@st.composite
+def _diagrams(draw):
+    """Spiders with parallel edges and self-loops, H boxes, boundaries and a
+    random Scalar.  The edges go in sorted, as ``serialize_zxg`` writes them:
+    evaluation labels tensor axes in edge insertion order, so only then are
+    the float bytes of the two evaluations, not just their values, equal."""
+    d = Diagram()
+    n = draw(st.integers(1, 5))
+    spiders = [d.add_vertex(draw(st.sampled_from((Z, X))), draw(_phases)) for _ in range(n)]
+    pick = st.sampled_from(spiders)
+    hs = [d.add_vertex(VertexType.H) for _ in range(draw(st.integers(0, 2)))]
+    pins = [
+        (d.add_input if draw(st.booleans()) else d.add_output)()
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    edges = [(draw(pick), draw(pick)) for _ in range(draw(st.integers(0, 8)))]
+    edges += [(v, draw(pick)) for v in hs + hs + pins]
+    for a, b in sorted(tuple(sorted(e)) for e in edges):
+        d.add_edge(a, b)
+    d.scalar = draw(_scalars)
+    d.validate()
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams())
+def test_zxg_round_trip_is_exact(d):
+    text = serialize_zxg(d)
+    note(text)  # a failure shows the shrunk diagram as .zxg
+    again = parse_zxg(text)
+    assert again.scalar == d.scalar
+    assert serialize_zxg(again) == text
+    assert evaluate(again).tobytes() == evaluate(d).tobytes()

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
-from zxcalc.phase import Phase
+from zxcalc.phase import Phase, Scalar
 from zxcalc.semantics import (
-    _DIAMOND,
     ResourceLimitError,
     _cached_spider_tensor,
     _contract_pair,
@@ -118,8 +117,8 @@ def test_x_phase_gate_at_clifford_points():
 
 
 def test_diamond_scalar():
-    d = Diagram()
-    d.add_vertex(VertexType.DIAMOND)
+    d = parse_zxg("node d D\n")
+    assert d.num_vertices() == 0 and d.scalar == Scalar(1)
     assert np.allclose(evaluate(d), [[math.sqrt(2)]], atol=1e-12)
 
 
@@ -183,7 +182,7 @@ def test_contraction_orders_agree():
     for _ in range(200):
         d = random_diagram(rng, max_vertices=10, max_boundaries=4)
         a = evaluate(d)
-        b = reference_evaluate(d, order="sequential")
+        b = _reference_with_scalar(d, order="sequential")
         scale = max(1.0, float(np.max(np.abs(a))))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
@@ -194,6 +193,13 @@ def test_qubit_cap():
     assert evaluate(ghz_state(6)).shape == (64, 1)
     with pytest.raises(ResourceLimitError):
         evaluate(ghz_state(6), max_qubits=4)
+
+
+def _reference_with_scalar(d, **kwargs):
+    """The frozen evaluator ignores the diagram's scalar: multiply it in as
+    ``evaluate`` does, only when it is not 1."""
+    m = reference_evaluate(d, **kwargs)
+    return m if d.scalar == Scalar() else m * complex(d.scalar)
 
 
 def _outcome(fn, d, **kwargs):
@@ -236,7 +242,7 @@ def test_evaluate_bitwise_matches_reference():
     for d in _guard_corpus():
         for cap in (4, 14):
             assert _outcome(evaluate, d, max_qubits=cap) == _outcome(
-                reference_evaluate, d, order="greedy", max_qubits=cap
+                _reference_with_scalar, d, order="greedy", max_qubits=cap
             ), serialize_zxg(d)
 
 
@@ -273,7 +279,7 @@ def test_evaluate_bitwise_matches_reference_on_long_ladders_and_loops():
     for d in (_ladder(59), _self_loop_diagram(), _triangle()):
         for cap in (4, 14):
             assert _outcome(evaluate, d, max_qubits=cap) == _outcome(
-                reference_evaluate, d, order="greedy", max_qubits=cap
+                _reference_with_scalar, d, order="greedy", max_qubits=cap
             ), serialize_zxg(d)
 
 
@@ -305,7 +311,8 @@ def test_contract_pair_matches_tensordot(labels_a, labels_b, axes):
 
 def test_contract_pair_of_zero_legged_generators():
     free = spider_tensor(X, Phase(1, 3), 0)
-    for a, b in ((_DIAMOND, free), (free, _DIAMOND), (free, spider_tensor(Z, Phase(1), 2))):
+    other = spider_tensor(Z, Phase(1, 2), 0)
+    for a, b in ((other, free), (free, other), (free, spider_tensor(Z, Phase(1), 2))):
         labels, t = _contract_pair(([], a), (["p", "q"][: b.ndim], b))
         want = np.tensordot(a, b, axes=0)
         assert (t.shape, t.tobytes()) == (want.shape, want.tobytes())

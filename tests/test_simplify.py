@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
-from zxcalc.phase import Phase
+from zxcalc.phase import Phase, Scalar
 from zxcalc.semantics import equal_up_to_scalar, evaluate
 from zxcalc.rewrite import (
     BACKWARD,
@@ -29,7 +29,7 @@ DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 # sha256 over every trace of test_simplify_traces_pinned, taken with the
 # all-matches simplify loop (the one _all_matches_simplify restates)
-TRACE_DIGEST = "ee6cc92c2534846bd3c81b15968e4aeeeba9d36cbdd4d16758cc6652d623ab71"
+TRACE_DIGEST = "6223af7b87b460a381d4d4654d6163432eb616e9f786273610906679b24ec7be"
 
 
 def test_already_minimal_is_untouched():
@@ -124,7 +124,9 @@ def test_trace_snapshots_parse_and_chain():
     assert len(trace) >= 1
     for step in trace.steps:
         parse_zxg(step.snapshot)
-    assert isomorphic(parse_zxg(trace.steps[-1].snapshot), out)
+    final = parse_zxg(trace.steps[-1].snapshot)
+    assert isomorphic(final, out)
+    assert out.scalar != Scalar() and final.scalar == out.scalar
 
 
 def test_trace_render_format():
