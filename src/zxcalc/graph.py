@@ -23,7 +23,7 @@ Edges live in one record, per vertex: ``_inc[v]`` maps the id of each edge
 at ``v`` to its other end, in insertion order (a self-loop ``e`` sits under
 ``e`` and ``~e``, once per end).  Edge ids come from a second monotone
 counter and are never reused, so they recover the insertion order that
-:attr:`Diagram.edges` reports and evaluation labels tensor axes by.  So
+:attr:`Diagram.edges` reports and evaluation reads the edges in.  So
 ``degree``, ``incident``, ``neighbors``, ``edge_count`` and ``self_loops``
 cost O(degree), and answer for an unknown vertex as for an isolated one.
 The per-vertex maps are replaced, never mutated, so ``copy`` shares them.
@@ -305,7 +305,7 @@ class Diagram:
         Output/input boundary pairs are deleted pairwise in interface order and
         the wires they terminated are joined.  When the two pins to be fused
         are directly connected the wire closes into a loop, which is kept as a
-        phase-0 Z spider with a self-loop (the evaluator contracts it to the
+        phase-0 Z spider with a self-loop (the evaluator sums it to the
         scalar 2).
         """
         if len(self.outputs) != len(second.inputs):
@@ -488,9 +488,7 @@ def parse_zxg(text: str) -> Diagram:
 def serialize_zxg(d: Diagram) -> str:
     """Render a diagram as canonical .zxg text (nodes and edges sorted); a
     scalar other than 1 comes first, as one ``scalar`` line."""
-    s = d.scalar
-    tokens = ["scalar", str(s.power), *map(Phase.token, (s.phase, *s.nodes))]
-    lines = [] if s == _ONE else [" ".join(tokens)]
+    lines = [] if d.scalar == _ONE else [_scalar_line(d.scalar)]
     for v in d.vertices():
         ty = d.types[v]
         if ty.is_spider():
@@ -506,9 +504,16 @@ def serialize_zxg(d: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scalar_line(s: Scalar) -> str:
+    return " ".join(["scalar", str(s.power), *map(Phase.token, (s.phase, *s.nodes))])
+
+
 def to_dot(d: Diagram) -> str:
-    """Graphviz export: undirected graph, one node per vertex with kind/phase label."""
+    """Graphviz export: undirected graph, one node per vertex with kind/phase
+    label; a scalar other than 1 is the graph's label, as its .zxg tokens."""
     lines = ["graph zx {"]
+    if d.scalar != _ONE:
+        lines.append(f'  label="{_scalar_line(d.scalar)}";')
     for v in d.vertices():
         ty = d.types[v]
         if ty is VertexType.Z or ty is VertexType.X:

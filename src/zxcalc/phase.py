@@ -14,7 +14,7 @@ class Phase:
 
     Addition and negation are exact and wrap around modulo 2*pi, so phase
     arithmetic never accumulates floating-point error.  The float value only
-    appears when a tensor is actually built.
+    appears when a diagram is evaluated.
     """
 
     __slots__ = ("num", "den")

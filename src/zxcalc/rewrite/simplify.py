@@ -4,7 +4,8 @@
 (vertex count + edge count), so it terminates on every input without the
 step limit.  ``full`` additionally tries the commutation/bialgebra family
 under the step limit; normalisation in that regime is not guaranteed to
-halt, so hitting the limit flags the trace as truncated instead of raising.
+halt, so using up the limit with a match still left flags the trace as
+truncated instead of raising.
 
 A :class:`Trace` stores a copy of the start diagram and the log of the
 matches taken, not a diagram per step.  ``render`` and ``steps`` replay the
@@ -103,9 +104,9 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
     match ``rule.find_matches(d)[0]``, found without listing the others.
     Returns the simplified diagram and its trace, the log of the matches
     taken (see :class:`Trace`).  The result evaluates exactly as the input
-    does: each step multiplies its factor into the diagram's scalar.  A hit
-    step limit returns the partial result with ``trace.truncated`` set
-    rather than raising.
+    does: each step multiplies its factor into the diagram's scalar.  When
+    the step limit is used up and a match is still left, the partial result
+    comes back with ``trace.truncated`` set rather than raising.
     """
     if strategy not in ("safe", "full"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -116,18 +117,21 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
     if strategy == "full":
         rules += [(name, get_rule(name, direction)) for name, direction in _FULL_EXTRA]
 
-    trace = Trace(d)
-    for _ in range(step_limit):
+    def first_match(d: Diagram):
         for name, rule in rules:
             matches = rule.iter_matches(d)
             if name == "B1" and strategy == "safe":
                 matches = (m for m in matches if _safe_b1_filter(d, m))
             m = next(matches, None)
             if m is not None:
-                d = rule.apply(d, m)
-                trace.log.append((name, rule, m))
-                break
-        else:
+                return name, rule, m
+
+    trace = Trace(d)
+    for _ in range(step_limit):
+        step = first_match(d)
+        if step is None:
             return d, trace
-    trace.truncated = True
+        d = step[1].apply(d, step[2])
+        trace.log.append(step)
+    trace.truncated = first_match(d) is not None
     return d, trace

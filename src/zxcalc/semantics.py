@@ -1,49 +1,37 @@
-"""Exact evaluation of diagrams to dense complex matrices.
+"""Evaluation of diagrams to dense complex matrices, as a sum over paths.
 
-Every vertex becomes a small complex tensor with one axis per incident edge
-end; edges identify pairs of axes, which are contracted away.  Boundary
-vertices contribute an identity tensor whose free axis becomes a row (output)
-or column (input) index of the result.  The result of :func:`evaluate` is a
-``2**m x 2**n`` matrix in big-endian wire order: the first output/input is
-the most significant bit of the row/column index.
+Every vertex carries one binary variable, which each leg reads plainly (Z
+spider, boundary, an H box's first leg) or through a Hadamard (X spider, an
+H box's second leg).  So an edge is the factor I where its ends read alike,
+which merges the two variables (a union-find; this is spider fusion), and H
+where they differ, the parity factor (-1)^(a*b) / sqrt(2).  Parallel H edges
+between two classes cancel in pairs, and one inside a class is the sign
+(-1)^a.  A class weighs (1, prod e^{i alpha}) over its spiders' phases, times
+those signs, so a diagram with K H edges is 2^(-K/2) sum_a prod_c w_c(a_c)
+prod (-1)^(a_u a_v) (Dawson et al., quant-ph/0408129; Amy, arXiv:1805.06908).
+This is the usual interpretation: a Z spider of phase a has all-zeros entry
+1 and all-ones entry e^{ia}, an X spider is that with a Hadamard on every
+leg, H is the Hadamard with its 1/sqrt(2), and a boundary is a wire end.
 
-Generator semantics:
-
-* Z spider, degree k, phase a: all-zeros entry 1, all-ones entry e^{ia},
-  everything else 0 (for k = 0 this is the scalar 1 + e^{ia});
-* X spider: the Z tensor conjugated by a Hadamard on every leg, i.e. the same
-  map written in the |+>/|-> basis;
-* H: the 2x2 Hadamard including its 1/sqrt(2) normalisation;
-* boundary: an identity wire end.
-
-Scalars are tracked exactly; nothing is ever normalised away.  The
-diagram's own ``scalar`` multiplies the contracted matrix, unless it is 1:
-then the matrix is returned as contracted, bytes and signed zeros included.
-A self-loop contracts two axes of the same vertex tensor (a partial trace).
-
-Generator tensors are read-only: spider tensors of up to ten legs are cached
-by colour, phase and degree, and the H and boundary tensors are module
-constants.  Contraction keeps an index from each edge label to the
-parts holding it and a heap of the pairs of parts that share a label.  The
-greedy order takes the pair with the smallest result rank, then the lowest
-pair of part ids in creation order: vertices first in id order, then each
-merged part.  A pair's key never changes while both its parts live, so a new
-part pushes only its own pairs, at O(degree) per contraction, and a popped
-pair that names a part already merged away is skipped as stale.
+The classes holding a boundary are open.  A closed class with at most one
+neighbour b sums out in closed form, w(0) + (-1)^b w(1); the others are
+summed out one at a time in min-degree order, ties to the lowest id, each by
+one ``einsum`` whose width is checked against the cap before it runs.  The
+result of :func:`evaluate` is a ``2**m x 2**n`` matrix in big-endian wire
+order, times the diagram's ``scalar``: the first output/input is the most
+significant bit of the row/column index.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
-from collections import Counter
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .graph import Diagram, VertexType
-from .phase import Scalar
+from .phase import Phase
 
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
@@ -54,9 +42,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# generator tensors shared by every evaluation
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
-_WIRE = _read_only(np.eye(2, dtype=complex))
+_PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
+_QUARTER_TURNS = {Phase(1, 2): 1j, Phase(1): -1, Phase(3, 2): -1j}  # e^{ia}, exactly
+_OPERANDS = 16  # per einsum call, below numpy's operand limit
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -68,27 +57,12 @@ EFFECT_VECTORS = {
 
 
 class ResourceLimitError(Exception):
-    """An evaluation would exceed the configured qubit cap."""
-
-
-# spider tensors with at most this many legs are cached: 16 KiB each, at
-# most 4 MiB for the 256 entries kept; wider ones are built on every call
-_CACHED_LEGS = 10
+    """An evaluation would exceed the qubit cap or the floating-point range."""
 
 
 def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
-    """The generator tensor of a Z or X spider with ``degree`` legs.
-
-    Tensors of up to ten legs are cached by ``(ty, phase, degree)`` and
-    shared between callers; wider ones are built fresh.  Either way the
-    returned array is read-only.
-    """
-    if degree > _CACHED_LEGS:
-        return _build_spider_tensor(ty, phase, degree)
-    return _cached_spider_tensor(ty, phase, degree)
-
-
-def _build_spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
+    """The dense generator tensor of a Z or X spider with ``degree`` legs,
+    built fresh and read-only.  :func:`evaluate` does not build it."""
     if degree == 0:
         return _read_only(np.asarray(1 + np.exp(1j * phase.radians), dtype=complex))
     t = np.zeros((2,) * degree, dtype=complex)
@@ -100,65 +74,17 @@ def _build_spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     return _read_only(t)
 
 
-_cached_spider_tensor = functools.lru_cache(maxsize=256)(_build_spider_tensor)
-
-
-def _vertex_tensor(d: Diagram, v: int, legs: int) -> np.ndarray:
-    ty = d.types[v]
-    if ty.is_spider():
-        return spider_tensor(ty, d.phases[v], legs)
-    return HADAMARD if ty is VertexType.H else _WIRE  # the other kind is a boundary
-
-
-def _trace_repeats(labels: list, tensor: np.ndarray) -> tuple[list, np.ndarray]:
-    """Contract any label that appears twice within one tensor (self-loops)."""
-    while True:
-        seen = {}
-        pair = None
-        for i, lab in enumerate(labels):
-            if lab in seen:
-                pair = (seen[lab], i)
-                break
-            seen[lab] = i
-        if pair is None:
-            return labels, tensor
-        i, j = pair
-        tensor = np.trace(tensor, axis1=i, axis2=j)
-        labels = [lab for k, lab in enumerate(labels) if k not in (i, j)]
-
-
-def _contract_pair(a, b):
-    """Contract two (labels, tensor) parts over all shared labels.
-
-    This is ``np.tensordot(t_a, t_b, axes=(axes_a, axes_b))`` written out:
-    the same transposes, reshapes and ``np.dot`` in the same operand order,
-    so the same bytes, without its argument checks.  Every axis has size 2.
-    With no shared label it is the outer product ``tensordot(..., axes=0)``.
-    """
-    labels_a, t_a = a
-    labels_b, t_b = b
-    shared = set(labels_a).intersection(labels_b)
-    axes_a = [k for k, lab in enumerate(labels_a) if lab in shared]
-    keep_a = [k for k, lab in enumerate(labels_a) if lab not in shared]
-    axes_b = [labels_b.index(labels_a[k]) for k in axes_a]
-    keep_b = [k for k, lab in enumerate(labels_b) if lab not in shared]
-    at = t_a.transpose(keep_a + axes_a).reshape(1 << len(keep_a), 1 << len(axes_a))
-    bt = t_b.transpose(axes_b + keep_b).reshape(1 << len(axes_b), 1 << len(keep_b))
-    labels = [labels_a[k] for k in keep_a] + [labels_b[k] for k in keep_b]
-    return labels, np.dot(at, bt).reshape((2,) * len(labels))
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
 def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
-    """Contract a diagram to its ``2**m x 2**n`` matrix.
+    """Sum a diagram over its spider variables to its ``2**m x 2**n`` matrix.
 
-    The contraction order is greedy and deterministic: it always contracts
-    the pair of parts sharing a label whose result has the smallest rank,
-    then the lowest pair of part ids in creation order (vertices in id
-    order, then each merged part in turn).  The candidate pairs sit in a
-    heap under exactly that key, which never changes while both parts live:
-    each new part pushes only its own pairs, and a popped pair naming a part
-    already merged away is skipped.  The result is a fresh writeable array
-    that shares no memory with the cached, read-only generator tensors.
+    A class of merged variables is named by its lowest vertex id.  Closed
+    classes with at most one neighbour are summed out first, in closed form;
+    the rest in min-degree order, ties to the lowest id, each by one
+    ``einsum`` over the factors that hold it.  Its width, the class's
+    neighbour count, is checked against ``max_qubits`` before it runs, as is
+    the interface's.  The result is a fresh array; :class:`ResourceLimitError`
+    is raised when it is not finite.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -167,65 +93,130 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
             f"interface has {m + n} wires, exceeding the cap of {max_qubits}"
         )
 
-    # one label per edge occurrence; free labels for interface pins
-    stubs: dict[int, list] = {v: [] for v in d.types}
-    for idx, (a, b) in enumerate(d.edges):
-        stubs[a].append(("e", idx))
-        stubs[b].append(("e", idx))
-    for pos, v in enumerate(d.inputs):
-        stubs[v].append(("in", pos))
-    for pos, v in enumerate(d.outputs):
-        stubs[v].append(("out", pos))
+    parent = {v: v for v in d.types}
 
-    # parts keyed by creation id: vertices in id order, then each merged part
-    # gets the next id; holders maps each label to the ids of the live parts
-    # carrying it (at most two), ascending
-    parts: dict[int, tuple[list, np.ndarray]] = {}
-    holders: dict = {}
-    for pid, v in enumerate(d.vertices()):
-        labels = stubs[v]
-        tensor = _vertex_tensor(d, v, len(labels))
-        parts[pid] = _trace_repeats(list(labels), tensor)
-        for lab in parts[pid][0]:
-            holders.setdefault(lab, []).append(pid)
-    next_id = len(parts)
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-    def key(i: int, j: int, shared: int) -> tuple:
-        return len(parts[i][0]) + len(parts[j][0]) - 2 * shared, i, j
+    plain_leg_taken: set[int] = set()  # H boxes whose first leg was read
 
-    shared = Counter(tuple(ids) for ids in holders.values() if len(ids) == 2)
-    heap = [key(i, j, count) for (i, j), count in shared.items()]
-    heapq.heapify(heap)
-    while heap:
-        i, j = heapq.heappop(heap)[-2:]
-        if i not in parts or j not in parts:
-            continue  # stale: one side was merged after this pair was pushed
-        merged = _contract_pair(parts[i], parts[j])
-        if len(merged[0]) > max_qubits:
-            raise ResourceLimitError(
-                f"intermediate tensor with {len(merged[0])} wires exceeds the cap "
-                f"of {max_qubits}"
-            )
-        for lab in parts.pop(i)[0] + parts.pop(j)[0]:
-            holders[lab] = [k for k in holders[lab] if k not in (i, j)]
-        parts[next_id] = merged
-        neighbours = Counter(holders[lab][0] for lab in merged[0] if holders[lab])
-        for lab in merged[0]:
-            holders[lab].append(next_id)
-        for k, count in neighbours.items():
-            heapq.heappush(heap, key(k, next_id, count))
-        next_id += 1
+    def through_h(v: int) -> bool:
+        ty = d.types[v]
+        if ty is VertexType.H and v not in plain_leg_taken:
+            plain_leg_taken.add(v)
+            return False
+        return ty is VertexType.X or ty is VertexType.H
 
-    labels, tensor = [], np.asarray(1.0 + 0j)
-    for part in parts.values():
-        labels, tensor = _contract_pair((labels, tensor), part)
+    h_edges = []
+    for a, b in d.edges:
+        if through_h(a) == through_h(b):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+        else:
+            h_edges.append((a, b))
 
-    # arrange axes as out_0 .. out_{m-1}, in_0 .. in_{n-1} (big-endian)
-    want = [("out", k) for k in range(m)] + [("in", k) for k in range(n)]
-    perm = [labels.index(lab) for lab in want]
-    tensor = np.transpose(tensor, perm) if perm else tensor
-    out = np.asarray(tensor, dtype=complex).reshape(2**m, 2**n)
-    return out if d.scalar == Scalar() else out * complex(d.scalar)
+    weight = {c: [1, 1] for c in sorted(map(find, d.types))}  # (w(0), w(1))
+    for v, phase in d.phases.items():
+        if phase.num:
+            weight[find(v)][1] *= _QUARTER_TURNS.get(phase) or cmath.exp(1j * phase.radians)
+    adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
+    for a, b in h_edges:
+        u, v = find(a), find(b)
+        if u == v:
+            weight[u][1] = -weight[u][1]
+        else:  # parallel H edges cancel in pairs
+            adj[u] ^= {v}
+            adj[v] ^= {u}
+
+    pins = [find(v) for v in d.outputs + d.inputs]
+    closed = set(weight).difference(pins)
+    scale = 2 ** (-len(h_edges) / 2) * complex(d.scalar)
+    # a closed class with at most one neighbour b sums out in closed form,
+    # w(0) + (-1)^b w(1), into b's weight or the scale
+    peel = sorted((c for c in closed if len(adj[c]) <= 1), reverse=True)
+    while peel:
+        c = peel.pop()
+        closed.remove(c)
+        w0, w1 = weight.pop(c)
+        nbrs = adj.pop(c)
+        if not nbrs:
+            scale *= w0 + w1
+            continue
+        (b,) = nbrs
+        adj[b].remove(c)
+        weight[b] = [weight[b][0] * (w0 + w1), weight[b][1] * (w0 - w1)]
+        if b in closed and len(adj[b]) == 1:
+            peel.append(b)
+
+    # factors keyed by their sorted variables; holding[c]: the keys with c
+    factors: dict[tuple, np.ndarray] = {}
+    holding: dict[int, set[tuple]] = {c: set() for c in weight}
+    for c, w in weight.items():
+        if w != [1, 1]:
+            factors[c,] = np.array(w, dtype=complex)
+            holding[c].add((c,))
+    for u, vs in adj.items():
+        for v in vs:
+            key = (u, v) if u < v else (v, u)
+            factors[key] = _PARITY
+            holding[u].add(key)
+    while closed:
+        c = min(closed, key=lambda u: (len(adj[u]), u))
+        closed.remove(c)
+        scope = sorted(adj.pop(c))
+        for u in scope:
+            adj[u].discard(c)
+            adj[u].update(w for w in scope if w != u)
+        args = []
+        for key in holding.pop(c):
+            args += [factors.pop(key), key]
+            for u in key:
+                if u != c:
+                    holding[u].discard(key)
+        t = _einsum(args, scope, max_qubits)
+        key = tuple(scope)
+        if not key:
+            scale *= complex(t)
+        elif key in factors:
+            factors[key] = factors[key] * t
+        else:
+            factors[key] = t
+            for u in key:
+                holding[u].add(key)
+
+    opens = sorted(set(pins))
+    out = np.full((2,) * len(opens), scale, dtype=complex)
+    for key, t in factors.items():
+        out *= t.reshape([2 if u in key else 1 for u in opens])
+    if pins:
+        # write out into the diagonal of the pins that share a class
+        result = np.zeros((2,) * len(pins), dtype=complex)
+        np.einsum(result, [opens.index(c) for c in pins], range(len(opens)))[...] = out
+        out = result
+    if not np.isfinite(out).all():
+        raise ResourceLimitError("the value is out of floating-point range")
+    return out.reshape(2**m, 2**n)
+
+
+def _einsum(args: list, out: list, max_qubits: int) -> np.ndarray:
+    """``einsum`` of ``[tensor, variables, ...]`` onto the variables ``out``,
+    refused before it runs when ``out`` is wider than ``max_qubits``.  More
+    than ``_OPERANDS`` tensors are multiplied in batches first, each checked
+    the same way.  The variable lists in ``args`` are renumbered in place."""
+    if len(out) > max_qubits:
+        raise ResourceLimitError(
+            f"intermediate tensor with {len(out)} wires exceeds the cap of {max_qubits}"
+        )
+    while len(args) > 2 * _OPERANDS:
+        head, args = args[: 2 * _OPERANDS], args[2 * _OPERANDS :]
+        keep = sorted(set().union(*head[1::2]))
+        args += [_einsum(head, keep, max_qubits), keep]
+    index: dict[int, int] = {}
+    for k in range(1, len(args), 2):
+        args[k] = [index.setdefault(u, len(index)) for u in args[k]]
+    return np.einsum(*args, [index[u] for u in out])
 
 
 @dataclass(frozen=True)
@@ -250,8 +241,10 @@ def equal_up_to_scalar(
 ) -> EqualityVerdict:
     """Decide whether ``a = scalar * b`` for some nonzero scalar, within ``tol``.
 
-    The scalar is recovered from the largest-magnitude entry of ``b`` and the
-    residual is measured entrywise against ``tol * max(1, ||a||_inf)``.
+    A matrix is zero only when every entry is exactly 0.  Otherwise the
+    scalar is recovered from the largest-magnitude entry of ``b``, and the
+    entrywise residual is judged against ``tol * ||a||_inf``, so the verdict
+    does not change when either input is rescaled.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -259,17 +252,12 @@ def equal_up_to_scalar(
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     norm_a = float(np.max(np.abs(a))) if a.size else 0.0
     norm_b = float(np.max(np.abs(b))) if b.size else 0.0
-    bound = tol * max(1.0, norm_a)
-    if norm_a <= tol and norm_b <= tol:
-        return EqualityVerdict(True, None, max(norm_a, norm_b))
-    if norm_b <= tol or norm_a <= tol:
-        return EqualityVerdict(False, None, max(norm_a, norm_b))
+    if norm_a == 0 or norm_b == 0:
+        return EqualityVerdict(norm_a == norm_b, None, max(norm_a, norm_b))
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     scalar = complex(a[idx] / b[idx])
     residual = float(np.max(np.abs(a - scalar * b)))
-    if scalar != 0 and residual <= bound:
-        return EqualityVerdict(True, scalar, residual)
-    return EqualityVerdict(False, scalar, residual)
+    return EqualityVerdict(scalar != 0 and residual <= tol * norm_a, scalar, residual)
 
 
 def born_probability(state: Diagram, effects) -> float:

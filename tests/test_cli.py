@@ -248,6 +248,16 @@ def test_hostile_scalar_has_no_traceback_or_warning(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
 
 
+def test_value_out_of_float_range_exit_2(tmp_path, capsys):
+    # 1,100 free spiders, each the scalar 2: the value is 2**1100
+    path = tmp_path / "hostile.zxg"
+    path.write_text("".join(f"node z{k} Z 0\n" for k in range(1100)))
+    message = "error: the value is out of floating-point range\n"
+    assert run_cli(capsys, "eval", str(path)) == (2, "", message)
+    proc = _run_subprocess("eval", str(path))  # no warning reaches stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+
+
 @pytest.mark.parametrize("strategy", ["safe", "full"])
 def test_simplify_prints_a_diagram_of_the_same_value(capsys, strategy):
     """The printed .zxg carries the scalar the rewrites multiplied in."""

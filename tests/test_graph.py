@@ -375,6 +375,13 @@ def test_scalar_outside_float_range_is_refused(text):
         parse_zxg(text)
 
 
+def test_to_dot_labels_the_scalar():
+    d = parse_zxg("scalar 2 1/2 1/4\nnode z Z 0\nnode o B\nedge z o\noutputs o\n")
+    assert '\n  label="scalar 2 1/2 1/4";\n' in to_dot(d)
+    d.scalar = Scalar()
+    assert "scalar" not in to_dot(d)
+
+
 def test_to_dot_labels():
     d = Diagram()
     z = d.add_vertex(Z, Phase(1, 2))

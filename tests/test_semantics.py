@@ -9,8 +9,6 @@ from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase, Scalar
 from zxcalc.semantics import (
     ResourceLimitError,
-    _cached_spider_tensor,
-    _contract_pair,
     born_probability,
     equal_up_to_scalar,
     evaluate,
@@ -202,14 +200,6 @@ def _reference_with_scalar(d, **kwargs):
     return m if d.scalar == Scalar() else m * complex(d.scalar)
 
 
-def _outcome(fn, d, **kwargs):
-    try:
-        m = fn(d, **kwargs)
-    except Exception as exc:  # the exception itself is the compared outcome
-        return type(exc), str(exc)
-    return m.shape, m.tobytes()
-
-
 def _ladder(n):
     d = cnot()
     for _ in range(n - 1):
@@ -234,16 +224,6 @@ def _guard_corpus():
             diagrams.append(d)
     diagrams += [_ladder(n) for n in (1, 2, 3, 5, 8, 13, 21, 34, 40)]
     return diagrams
-
-
-def test_evaluate_bitwise_matches_reference():
-    """The indexed contraction loop and the shared generator tensors give the
-    same bytes, shapes and errors as the frozen all-pairs evaluator."""
-    for d in _guard_corpus():
-        for cap in (4, 14):
-            assert _outcome(evaluate, d, max_qubits=cap) == _outcome(
-                _reference_with_scalar, d, order="greedy", max_qubits=cap
-            ), serialize_zxg(d)
 
 
 def _self_loop_diagram():
@@ -273,61 +253,118 @@ def _triangle():
     return d
 
 
-def test_evaluate_bitwise_matches_reference_on_long_ladders_and_loops():
-    """The heap frontier, including its stale-entry skip, gives the frozen
-    evaluator's bytes on a long ladder, self-loops and a merged triangle."""
-    for d in (_ladder(59), _self_loop_diagram(), _triangle()):
+def test_evaluate_agrees_with_reference():
+    """Where the frozen dense evaluator returns, ``evaluate`` returns the same
+    shape within 1e-12 relative; where ``evaluate`` raises, so does it.  On
+    random samples with embedded rule patterns, long ladders, self-loops and
+    a triangle."""
+    for d in _guard_corpus() + [_ladder(59), _self_loop_diagram(), _triangle()]:
         for cap in (4, 14):
-            assert _outcome(evaluate, d, max_qubits=cap) == _outcome(
-                _reference_with_scalar, d, order="greedy", max_qubits=cap
-            ), serialize_zxg(d)
+            try:
+                m = evaluate(d, max_qubits=cap)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    _reference_with_scalar(d, order="greedy", max_qubits=cap)
+                continue
+            try:
+                ref = _reference_with_scalar(d, order="greedy", max_qubits=cap)
+            except ResourceLimitError:
+                continue  # the path sum evaluates some diagrams the dense one refuses
+            assert m.shape == ref.shape, serialize_zxg(d)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(m - ref)) <= 1e-12 * scale, serialize_zxg(d)
 
 
-def _random_tensor(rng, rank):
-    shape = (2,) * rank
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def test_class_in_more_factors_than_one_einsum_takes():
+    # X spiders joined to c and to one pair of u's each: once they are summed
+    # out, c is held by 66 three-variable factors, more than numpy's einsum
+    # takes in one call, so they are multiplied in batches
+    import itertools
+
+    k, a, b, x = 12, Phase(1, 3), Phase(1, 5), Phase(1, 7)
+    d = Diagram()
+    c = d.add_vertex(Z, a)
+    us = [d.add_vertex(Z, b) for _ in range(k)]
+    pairs = list(itertools.combinations(range(k), 2))
+    for i, j in pairs:
+        v = d.add_vertex(X, x)
+        for t in (c, us[i], us[j]):
+            d.add_edge(v, t)
+    # oracle: sum over c and the u's, each X spider summed out by hand as
+    # 1 + e^{ix} (-1)^(c + u_i + u_j), over 2**(3 * 66 / 2) for the H edges
+    bits = np.array(list(itertools.product((0, 1), repeat=k + 1)))
+    terms = np.exp(1j * (a.radians * bits[:, 0] + b.radians * bits[:, 1:].sum(axis=1)))
+    for i, j in pairs:
+        parity = bits[:, 0] + bits[:, i + 1] + bits[:, j + 1]
+        terms = terms * (1 + np.exp(1j * x.radians) * (-1.0) ** parity)
+    want = terms.sum() / 2 ** (3 * len(pairs) / 2)
+    got = evaluate(d)[0, 0]
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize(
-    "labels_a,labels_b,axes",
-    [
-        ([], [], ([], [])),  # two scalars
-        ([], ["p", "q"], ([], [])),  # a scalar and a matrix
-        (["p", "q"], ["r"], ([], [])),  # outer product: no shared label
-        (["p", "q"], ["q", "p"], ([0, 1], [1, 0])),  # full contraction to a scalar
-        (["p", "q", "r"], ["s", "r", "t", "p"], ([0, 2], [3, 1])),
-    ],
-)
-def test_contract_pair_matches_tensordot(labels_a, labels_b, axes):
-    rng = np.random.default_rng(len(labels_a) * 10 + len(labels_b))
-    a, b = _random_tensor(rng, len(labels_a)), _random_tensor(rng, len(labels_b))
-    labels, t = _contract_pair((labels_a, a), (labels_b, b))
-    want = np.tensordot(a, b, axes=axes)
-    assert t.shape == want.shape
-    assert t.tobytes() == want.tobytes()
-    shared = {labels_a[k] for k in axes[0]}
-    assert labels == [lab for lab in labels_a + labels_b if lab not in shared]
+def test_safe_simplified_ladder_evaluates():
+    # one Z-X pair joined by 59 parallel edges, spiders of 61 legs
+    from zxcalc.rewrite import simplify
+
+    d = _ladder(59)
+    out, _ = simplify(d, "safe")
+    assert max(out.degree(v) for v in out.vertices()) == 61
+    m = evaluate(out)
+    verdict = equal_up_to_scalar(m, CNOT_MAT)
+    assert verdict.equal and verdict.scalar != 0
+    assert np.max(np.abs(m - evaluate(d))) <= 1e-12 * np.max(np.abs(m))
 
 
-def test_contract_pair_of_zero_legged_generators():
-    free = spider_tensor(X, Phase(1, 3), 0)
-    other = spider_tensor(Z, Phase(1, 2), 0)
-    for a, b in ((other, free), (free, other), (free, spider_tensor(Z, Phase(1), 2))):
-        labels, t = _contract_pair(([], a), (["p", "q"][: b.ndim], b))
-        want = np.tensordot(a, b, axes=0)
-        assert (t.shape, t.tobytes()) == (want.shape, want.tobytes())
-        assert labels == ["p", "q"][: b.ndim]
+def test_parallel_edges_evaluate_in_little_memory():
+    import tracemalloc
+
+    d = Diagram()
+    z, x = d.add_vertex(Z), d.add_vertex(X)
+    for _ in range(20):
+        d.add_edge(z, x)
+    tracemalloc.start()
+    try:
+        m = evaluate(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # an even number of H edges cancels: (1 + 1) * (1 + 1) / sqrt(2)**20
+    assert m.shape == (1, 1) and abs(m[0, 0] - 4 / 2**10) <= 1e-15
 
 
-def test_wide_spider_tensors_are_not_cached():
-    # neither looked up nor stored: hits, misses and currsize stay put
-    info = _cached_spider_tensor.cache_info()
-    t = spider_tensor(X, Phase(1, 7), 12)
-    assert _cached_spider_tensor.cache_info() == info
-    assert not t.flags.writeable
-    assert t is not spider_tensor(X, Phase(1, 7), 12)
-    assert np.array_equal(t, reference_spider_tensor(X, Phase(1, 7), 12))
-    assert spider_tensor(X, Phase(1, 7), 10) is spider_tensor(X, Phase(1, 7), 10)
+def test_wide_elimination_is_refused_before_allocating():
+    import tracemalloc
+
+    # twenty spiders joined pairwise through H boxes: every variable has
+    # nineteen neighbours, so the first elimination is 19 wide
+    d = Diagram()
+    spiders = [d.add_vertex(Z) for _ in range(20)]
+    for i, u in enumerate(spiders):
+        for v in spiders[i + 1 :]:
+            h = d.add_vertex(VertexType.H)
+            d.add_edge(u, h)
+            d.add_edge(h, v)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="19 wires exceeds the cap of 14"):
+            evaluate(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 2**19 intermediate would take 8 MiB
+
+
+def test_value_out_of_float_range_is_refused():
+    d = Diagram()
+    for _ in range(1100):
+        d.add_vertex(Z)  # each is the scalar 2
+    with pytest.raises(ResourceLimitError, match="floating-point range"):
+        evaluate(d)
+    small = Diagram()
+    for _ in range(1000):
+        small.add_vertex(Z)
+    assert evaluate(small)[0, 0] == 2.0**1000
 
 
 def test_long_ladder_is_identity():
@@ -400,6 +437,30 @@ def test_equal_up_to_scalar_residual_bound():
     verdict = equal_up_to_scalar(off, m, tol=1e-9)
     assert not verdict.equal
     assert verdict.max_residual >= 1e-6 / 2
+
+
+def test_equal_up_to_scalar_at_any_scale():
+    # the 200-CNOT ladder is 2**-100 times the identity on two wires
+    two_wires = wire().tensor(wire())
+    verdict = equal_up_to_scalar(evaluate(_ladder(200)), evaluate(two_wires))
+    assert verdict.equal and verdict.max_residual == 0
+    assert verdict.scalar == pytest.approx(2.0**-100, rel=1e-12)
+
+
+def test_equal_up_to_scalar_tiny_matrices_still_differ():
+    # four spiders of phase 999/1000 pi shrink both maps to about 1e-10
+    tiny = Diagram()
+    for _ in range(4):
+        tiny.add_vertex(Z, Phase(999, 1000))
+    swap = Diagram()
+    i1, i2, o1, o2 = (swap.add_vertex(VertexType.BOUNDARY) for _ in range(4))
+    swap.add_edge(i1, o2)
+    swap.add_edge(i2, o1)
+    swap.inputs, swap.outputs = [i1, i2], [o1, o2]
+    a, b = evaluate(cnot().tensor(tiny)), evaluate(swap.tensor(tiny))
+    assert np.max(np.abs(a)) < 1e-9
+    verdict = equal_up_to_scalar(a, b)
+    assert not verdict.equal and verdict.scalar is not None
 
 
 # ----------------------------------------------------------------------

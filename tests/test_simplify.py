@@ -97,11 +97,30 @@ def test_full_uses_supplementarity():
 
 
 def test_step_limit_flags_truncation():
-    d = ghz_state().plugged("output", 0, "z+")
+    # the default run takes three steps: B1, S1, D2
+    d = ghz_state().plugged("output", 0, "z+").plugged("output", 1, "z+")
     out, trace = simplify(d, step_limit=1)
     assert trace.truncated
     assert len(trace) == 1
     assert equal_up_to_scalar(evaluate(out), evaluate(d)).equal
+
+
+def test_last_allowed_step_reaching_the_normal_form_is_not_truncated():
+    d = parse_zxg((DIAGRAMS / "hopf_lhs.zxg").read_text())
+    out, trace = simplify(d, step_limit=1)
+    default, _ = simplify(d)
+    assert not trace.truncated and trace.rules_used() == ["HOPF"]
+    assert serialize_zxg(out) == serialize_zxg(default)
+    assert "truncated" not in trace.render()
+    # B1 still matches the safe normal form here, but copying the point
+    # through the three-legged X spider would grow it, so no step is left
+    d = parse_zxg(
+        "node 0 X 0\nnode 1 Z 0\nnode 2 Z 1/2\nnode 3 B\nnode 4 B\n"
+        "edge 0 1\nedge 0 2\nedge 0 3\nedge 0 4\nedge 1 1\ninputs 4\noutputs 3\n"
+    )
+    out, trace = simplify(d, step_limit=1)
+    assert trace.rules_used() == ["S2b"] and not trace.truncated
+    assert next(get_rule("B1").iter_matches(out), None) is not None
 
 
 def test_safe_runs_agree_up_to_scalar_under_reordering():
