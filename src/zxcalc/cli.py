@@ -58,6 +58,16 @@ def _write_trace(trace, path: str | None) -> None:
             fh.write(trace.render())
 
 
+class _FlagBeforeProtocol(argparse.Action):
+    """A ``verify`` flag given before the protocol name: a usage error that
+    names the flag, not the value argparse would take for the protocol."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(
+            self, f"flags go after the protocol: zxcalc verify {{sdc-ghz,qkd-w3}} {option_string} ..."
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="equality tolerance")
@@ -101,6 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sdc.add_argument("--n", type=int, help="verify the n-qubit generalisation instead")
     qkd = v.add_parser("qkd-w3", parents=[common])
     qkd.add_argument("--rounds", type=int, default=10000)
+    flags = dict.fromkeys(f for q in (sdc, qkd) for a in q._actions for f in a.option_strings)
+    for flag in flags:
+        if flag not in ("-h", "--help"):
+            p.add_argument(
+                flag, action=_FlagBeforeProtocol, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+            )
 
     p = sub.add_parser("render", parents=[common], help="emit Graphviz DOT")
     p.add_argument("file")

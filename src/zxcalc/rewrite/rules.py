@@ -20,7 +20,9 @@ supplies three parts:
 
 * ``candidates(d)`` enumerates possible matches in ascending order.  It may
   over-approximate (it prunes only by adjacency, neighbour counts, vertex
-  order and whether a vertex is a spider), but it must never miss a match;
+  order, whether a vertex is a spider and its colour), but it must never
+  miss a match.  A :class:`Match` is built only for what passes those
+  checks, read straight off the incidence map;
 * ``holds(d, m)`` is the single statement of the left-hand side.  Roles
   that the rule treats symmetrically are named in ascending vertex order,
   so a mirrored match does not hold;
@@ -94,19 +96,28 @@ def _spider(d: Diagram, v: int) -> bool:
     return v in d.types and d.types[v].is_spider()
 
 
+def _others(d: Diagram, v: int) -> list[int]:
+    """The distinct neighbours of v other than v itself, ascending."""
+    return sorted(set(d._inc[v].values()).difference((v,)))
+
+
 def _around(d: Diagram, degree: int) -> Iterator[tuple[int, list[int]]]:
     """Each spider of the given degree, ascending, with its distinct other
     neighbours, ascending."""
-    for v in d.vertices():
-        if d.degree(v) == degree and d.types[v].is_spider():
-            yield v, list(dict.fromkeys(d.neighbors(v)))
+    types = d.types
+    found = sorted(v for v, inc in d._inc.items() if len(inc) == degree and types[v].is_spider())
+    return ((v, _others(d, v)) for v in found)
 
 
-def _linked_pairs(d: Diagram) -> Iterator[tuple[int, int]]:
-    """The distinct vertex pairs u < v joined by at least one edge, ascending."""
+def _linked_pairs(d: Diagram, same_colour: bool) -> Iterator[tuple[int, int]]:
+    """The distinct spider pairs u < v joined by at least one edge, ascending,
+    where v has u's colour (``same_colour``) or the opposite one."""
+    types = d.types
     for u in d.vertices():
-        for v in dict.fromkeys(d.neighbors(u)):
-            if v > u:
+        ty = types[u]
+        if ty.is_spider():
+            want = ty if same_colour else ty.opposite
+            for v in sorted({w for w in d._inc[u].values() if w > u and types[w] is want}):
                 yield u, v
 
 
@@ -156,7 +167,7 @@ class FuseRule(RewriteRule):
     roles = ("u", "v")
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d))
+        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d, same_colour=True))
 
     def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]
@@ -195,7 +206,7 @@ class UnfuseRule(RewriteRule):
     def candidates(self, d: Diagram) -> Iterator[Match]:
         for v in sorted(d.phases):  # the spiders
             yield unfuse_match(v, (), d.phases[v])
-            for w in dict.fromkeys(d.neighbors(v)):
+            for w in _others(d, v):
                 yield unfuse_match(v, ((w, 1),), Phase.zero())
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -285,7 +296,12 @@ class _PointCopyRule(RewriteRule):
     roles = ("point", "spider")
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, point=p, spider=s) for p, (s,) in _around(d, 1))
+        types = d.types
+        return (
+            _match(self.name, point=p, spider=s)
+            for p, (s,) in _around(d, 1)
+            if types[s] is types[p].opposite
+        )
 
     def holds(self, d: Diagram, m: Match) -> bool:
         p, s = m["point"], m["spider"]
@@ -347,8 +363,10 @@ class PiCommuteRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
         for x, ends in _around(d, 2):
+            colour = d.types[x].opposite
             for s in ends:
-                yield _match(self.name, pi_vertex=x, spider=s)
+                if d.types[s] is colour:
+                    yield _match(self.name, pi_vertex=x, spider=s)
 
     def holds(self, d: Diagram, m: Match) -> bool:
         x, s = m["pi_vertex"], m["spider"]
@@ -383,6 +401,15 @@ class PiCommuteRule(RewriteRule):
 # B2: the bialgebra square
 
 
+def _corners(d: Diagram) -> dict[VertexType, dict[int, list[int]]]:
+    """The spiders of degree 3 by colour, each with its distinct other
+    neighbours, as in :func:`_around`."""
+    out: dict[VertexType, dict[int, list[int]]] = {VertexType.Z: {}, VertexType.X: {}}
+    for v, ends in _around(d, 3):
+        out[d.types[v]][v] = ends
+    return out
+
+
 def _corner(d: Diagram, v: int, ty: VertexType) -> bool:
     """A phase-0 spider of colour ty with three plain legs."""
     return (
@@ -403,10 +430,11 @@ class BialgebraRule(RewriteRule):
     roles = ("z", "x")
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
-        corners = dict(_around(d, 3))
-        for z, others in corners.items():
+        corners = _corners(d)
+        xs = corners[VertexType.X]
+        for z, others in corners[VertexType.Z].items():
             for x in others:
-                if x in corners:
+                if x in xs:
                     yield _match(self.name, z=z, x=x)
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -443,12 +471,13 @@ class BialgebraBackwardRule(RewriteRule):
     roles = ("x1", "x2", "z1", "z2")
 
     def candidates(self, d: Diagram) -> list[Match]:
-        corners = dict(_around(d, 3))
+        corners = _corners(d)
+        xs, zs = corners[VertexType.X], corners[VertexType.Z]
         out = []
-        for x1, others in corners.items():
-            for z1, z2 in combinations([z for z in others if z in corners], 2):
-                for x2 in set(corners[z1]) & set(corners[z2]):
-                    if x2 > x1 and x2 in corners:
+        for x1, others in xs.items():
+            for z1, z2 in combinations([z for z in others if z in zs], 2):
+                for x2 in set(zs[z1]) & set(zs[z2]):
+                    if x2 > x1 and x2 in xs:
                         out.append(_match(self.name, x1=x1, x2=x2, z1=z1, z2=z2))
         return sorted(out, key=lambda m: m.data)
 
@@ -499,7 +528,7 @@ class ColorChangeRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, vertex=v) for v in d.vertices())
+        return (_match(self.name, vertex=v) for v in d.vertices() if d.types[v] is VertexType.X)
 
     def holds(self, d: Diagram, m: Match) -> bool:
         return d.types.get(m["vertex"]) is VertexType.X
@@ -525,6 +554,8 @@ class ColorChangeBackwardRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
         for v in d.vertices():
+            if d.types[v] is not VertexType.Z:
+                continue
             hs = tuple(w for w in _legs(d, v) if d.types[w] is VertexType.H)
             if hs:
                 yield _match(self.name, vertex=v, hadamards=hs)
@@ -568,7 +599,12 @@ class ScalarPairRule(RewriteRule):
     roles = ("p", "q")
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, p=p, q=q) for p, (q,) in _around(d, 1) if p < q)
+        types = d.types
+        return (
+            _match(self.name, p=p, q=q)
+            for p, (q,) in _around(d, 1)
+            if p < q and types[q] is types[p].opposite and d.degree(q) == 1
+        )
 
     def holds(self, d: Diagram, m: Match) -> bool:
         p, q = m["p"], m["q"]
@@ -602,7 +638,10 @@ class ScalarLoopRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        isolated = (v for v in d.vertices() if not d.neighbors(v))
+        types = d.types
+        isolated = sorted(
+            v for v, inc in d._inc.items() if types[v].is_spider() and set(inc.values()) <= {v}
+        )
         return (_match(self.name, vertex=v) for v in isolated)
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -638,7 +677,9 @@ class SupplementarityRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
         for t, ends in _around(d, 3):
-            for p1, p2 in combinations(ends, 2):
+            colour = d.types[t].opposite
+            points = [p for p in ends if d.types[p] is colour and d.degree(p) == 1]
+            for p1, p2 in combinations(points, 2):
                 yield _match(self.name, center=t, p1=p1, p2=p2)
 
     def holds(self, d: Diagram, m: Match) -> bool:
@@ -684,7 +725,7 @@ class HopfRule(RewriteRule):
     roles = ("u", "v")
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d))
+        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d, same_colour=False))
 
     def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]

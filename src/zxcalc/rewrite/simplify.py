@@ -7,6 +7,11 @@ under the step limit; normalisation in that regime is not guaranteed to
 halt, so using up the limit with a match still left flags the trace as
 truncated instead of raising.
 
+The loop copies its input once and rewrites that private copy in place
+with each rule's ``_rewrite``: the match it takes was just found on that
+very state, so ``apply``'s copy and stale-match check would only repeat
+work.  Everything else, trace replay included, goes through ``apply``.
+
 A :class:`Trace` stores a copy of the start diagram and the log of the
 matches taken, not a diagram per step.  ``render`` and ``steps`` replay the
 log through ``rule.apply``, which re-checks every match; each costs one
@@ -102,8 +107,10 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
     Each step tries the rules in priority order and applies the first match
     that holds, in candidate order, of the first rule that has one: the
     match ``rule.find_matches(d)[0]``, found without listing the others.
-    Returns the simplified diagram and its trace, the log of the matches
-    taken (see :class:`Trace`).  The result evaluates exactly as the input
+    The steps rewrite a private copy of ``d`` in place; ``d`` itself is
+    left untouched.  Returns the simplified diagram and its trace, the log
+    of the matches taken (see :class:`Trace`), whose replay re-applies
+    each step through ``apply``.  The result evaluates exactly as the input
     does: each step multiplies its factor into the diagram's scalar.  When
     the step limit is used up and a match is still left, the partial result
     comes back with ``trace.truncated`` set rather than raising.
@@ -127,11 +134,12 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
                 return name, rule, m
 
     trace = Trace(d)
+    d = d.copy()
     for _ in range(step_limit):
         step = first_match(d)
         if step is None:
             return d, trace
-        d = step[1].apply(d, step[2])
+        step[1]._rewrite(d, step[2])
         trace.log.append(step)
     trace.truncated = first_match(d) is not None
     return d, trace

@@ -132,7 +132,10 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
 
     pins = [find(v) for v in d.outputs + d.inputs]
     closed = set(weight).difference(pins)
-    scale = 2 ** (-len(h_edges) / 2) * complex(d.scalar)
+    try:
+        scale = 2 ** (-len(h_edges) / 2) * complex(d.scalar)
+    except OverflowError:
+        raise ResourceLimitError("the value is out of floating-point range") from None
     # a closed class with at most one neighbour b sums out in closed form,
     # w(0) + (-1)^b w(1), into b's weight or the scale
     peel = sorted((c for c in closed if len(adj[c]) <= 1), reverse=True)

@@ -195,6 +195,20 @@ def test_verify_flags_follow_the_protocol(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["--tol", "0.5", "sdc-ghz"], ["--seed", "3", "qkd-w3"], ["--rounds", "9", "qkd-w3"]]
+)
+def test_verify_flag_before_the_protocol_is_named(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == (
+        f"zxcalc verify: error: argument {argv[0]}: flags go after the protocol: "
+        f"zxcalc verify {{sdc-ghz,qkd-w3}} {argv[0]} ..."
+    )
+
+
 def test_render_dot(cnot_file, capsys):
     code, out, _ = run_cli(capsys, "render", cnot_file)
     assert code == 0

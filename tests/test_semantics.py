@@ -378,6 +378,16 @@ def test_value_out_of_float_range_is_refused():
     assert evaluate(small)[0, 0] == 2.0**1000
 
 
+def test_scalar_out_of_float_range_is_refused():
+    # the scalar alone overflows when it is turned into a float
+    d = wire()
+    d.scalar = Scalar(5000)
+    with pytest.raises(ResourceLimitError, match="floating-point range"):
+        evaluate(d)
+    d.scalar = Scalar(2000)
+    assert evaluate(d)[0, 0] == 2.0**1000
+
+
 def test_long_ladder_is_identity():
     m = evaluate(_ladder(200))
     # the scalar is 2**-100, below any absolute tolerance: compare normalised

@@ -267,3 +267,56 @@ def test_simplify_traces_pinned():
     assert len(texts) == 894
     digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
     assert digest == TRACE_DIGEST
+
+
+def _ladder(n):
+    d = cnot()
+    for _ in range(n - 1):
+        d = d.compose(cnot())
+    return d
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_safe_simplify_matcher_work_is_flat_on_ladders(monkeypatch, n):
+    """Colour-pruned candidates reach the first match at once: on a CNOT
+    ladder each safe step checks about one S1 candidate, whatever n is."""
+    calls = {}
+    for cls in {type(get_rule(name)) for name in _SAFE_RULES}:
+        def counted(self, d, m, _holds=cls.holds, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _holds(self, d, m)
+
+        monkeypatch.setattr(cls, "holds", counted)
+    _, trace = simplify(_ladder(n))
+    assert len(trace) == 2 * n - 2
+    assert calls["FuseRule"] / len(trace) <= 1.1
+    assert sum(calls.values()) / len(trace) <= 1.1
+
+
+def _untouched_corpus():
+    diagrams = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
+    diagrams += [_ladder(12), ghz_state().plugged("output", 0, "z+")]
+    pairs = [(name, FORWARD) for name in RULE_NAMES] + [
+        (name, BACKWARD) for name in ("S1", "B2", "C")
+    ]
+    rng = random.Random(25)
+    for name, direction in pairs:
+        for _ in range(3):
+            d = random_diagram(rng)
+            embed_lhs(name, direction, d, rng)
+            diagrams.append(d)
+    return diagrams
+
+
+def test_simplify_leaves_its_input_and_trace_start_untouched():
+    """simplify rewrites a private copy in place: the input, the trace's
+    start and the replayed result are unaffected by its steps."""
+    for d in _untouched_corpus():
+        before = (serialize_zxg(d), d.scalar, d._next_id)
+        for strategy in ("safe", "full"):
+            out, trace = simplify(d, strategy=strategy)
+            assert (serialize_zxg(d), d.scalar, d._next_id) == before
+            start = trace.start
+            assert (serialize_zxg(start), start.scalar, start._next_id) == before
+            *_, (_, _, replayed) = trace.replay()
+            assert serialize_zxg(replayed) == serialize_zxg(out)
