@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: eval, equal, rewrite, simplify, soundness, derivations,
-verify sdc-ghz [--n N], verify qkd-w3 [--rounds R], render.
+verify sdc-ghz [--n N], verify qkd-w3 [--rounds R], render.  Each takes
+only the flags it reads; any other is a usage error.
 
 Exit codes: 0 on success or verification pass, 1 on verification failure,
 2 on usage, parse or resource errors.  All randomness flows from --seed;
@@ -68,48 +69,54 @@ class _FlagBeforeProtocol(argparse.Action):
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="equality tolerance")
-    common.add_argument(
-        "--max-qubits", type=int, default=DEFAULT_MAX_QUBITS, help="wire cap for evaluation"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--steps", type=int, default=1000, help="rewrite step limit")
-    common.add_argument("--trace", metavar="PATH", help="write the rewrite trace here")
+_FLAGS = {
+    "--tol": dict(type=float, default=DEFAULT_TOLERANCE, help="equality tolerance"),
+    "--max-qubits": dict(type=int, default=DEFAULT_MAX_QUBITS, help="wire cap for evaluation"),
+    "--seed": dict(type=int, default=0, help="seed for all randomness"),
+    "--steps": dict(type=int, default=1000, help="rewrite step limit"),
+    "--trace": dict(metavar="PATH", help="write the rewrite trace here"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zxcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a .zxg file to a matrix")
+    def command(parent, name, flags, **kwargs):
+        p = parent.add_parser(name, **kwargs)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p = command(sub, "eval", ["--max-qubits"], help="evaluate a .zxg file to a matrix")
     p.add_argument("file")
 
-    p = sub.add_parser("equal", parents=[common], help="compare two diagrams up to scalar")
+    p = command(sub, "equal", ["--tol", "--max-qubits"], help="compare two diagrams up to scalar")
     p.add_argument("file_a")
     p.add_argument("file_b")
 
-    p = sub.add_parser("rewrite", parents=[common], help="apply a named rule at its first match")
+    p = command(sub, "rewrite", ["--trace"], help="apply a named rule at its first match")
     p.add_argument("rule", choices=RULE_NAMES)
     p.add_argument("file")
     p.add_argument("--direction", choices=(FORWARD, BACKWARD), default=FORWARD)
 
-    p = sub.add_parser("simplify", parents=[common], help="normalise a diagram")
+    p = command(sub, "simplify", ["--steps", "--trace"], help="normalise a diagram")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("safe", "full"), default="safe")
 
-    p = sub.add_parser("soundness", parents=[common], help="randomized rule soundness check")
+    p = command(sub, "soundness", ["--tol", "--seed"], help="randomized rule soundness check")
     p.add_argument("rule", choices=RULE_NAMES)
     p.add_argument("--direction", choices=(FORWARD, BACKWARD), default=FORWARD)
     p.add_argument("--samples", type=int, default=200)
 
-    p = sub.add_parser("derivations", parents=[common], help="replay scripted derivations")
+    p = command(sub, "derivations", ["--trace"], help="replay scripted derivations")
     p.add_argument("name", nargs="?", choices=DERIVATION_NAMES)
 
     p = sub.add_parser("verify", help="run a protocol verifier")  # flags follow the protocol
     v = p.add_subparsers(dest="protocol", required=True)
-    sdc = v.add_parser("sdc-ghz", parents=[common])
+    sdc = command(v, "sdc-ghz", ["--tol"])
     sdc.add_argument("--n", type=int, help="verify the n-qubit generalisation instead")
-    qkd = v.add_parser("qkd-w3", parents=[common])
+    qkd = command(v, "qkd-w3", ["--tol", "--seed"])
     qkd.add_argument("--rounds", type=int, default=10000)
     flags = dict.fromkeys(f for q in (sdc, qkd) for a in q._actions for f in a.option_strings)
     for flag in flags:
@@ -118,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 flag, action=_FlagBeforeProtocol, default=argparse.SUPPRESS, help=argparse.SUPPRESS
             )
 
-    p = sub.add_parser("render", parents=[common], help="emit Graphviz DOT")
+    p = command(sub, "render", [], help="emit Graphviz DOT")
     p.add_argument("file")
     return parser
 
@@ -232,9 +239,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.tol <= 0:
+        if getattr(args, "tol", 1) <= 0:
             raise ValueError("--tol must be positive")
-        if args.max_qubits < 1 or args.steps < 1:
+        if getattr(args, "max_qubits", 1) < 1 or getattr(args, "steps", 1) < 1:
             raise ValueError("--max-qubits and --steps must be positive")
         return _COMMANDS[args.command](args)
     except (DiagramError, ResourceLimitError, ValueError, OSError) as exc:

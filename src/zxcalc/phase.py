@@ -45,10 +45,6 @@ class Phase:
     def is_pi(self) -> bool:
         return self.num == 1 and self.den == 1
 
-    def is_clifford(self) -> bool:
-        """True when the phase is a multiple of pi/2."""
-        return self.den in (1, 2)
-
     @property
     def radians(self) -> float:
         return math.pi * self.num / self.den

@@ -1,10 +1,10 @@
 """Protocol-level constructors and verifiers.
 
-States and gates: GHZ and W states, Pauli wires, CNOT, the GHZ-basis
-measurement circuit.  Verifiers: superdense coding over the eight GHZ-class
-states (both unitary tables, and the N-qubit generalisation) and the
-pairwise key-distribution protocol on the three-qubit W state (exact lemma
-checks plus a seeded Monte-Carlo simulation of the full round structure).
+States and gates: GHZ and W states, Pauli wires, CNOT, the fused GHZ-basis
+measurement.  Verifiers: superdense coding over the eight GHZ-class states
+(both unitary tables, and the N-qubit generalisation) and the pairwise
+key-distribution protocol on the three-qubit W state (exact lemma checks
+plus a seeded Monte-Carlo simulation of the full round structure).
 
 Wire conventions: in superdense coding qubit 1 is the receiver's; the
 encoding unitaries act on qubits 2..N.  In the key-distribution protocol
@@ -40,13 +40,6 @@ def wire() -> Diagram:
     d.add_edge(i, o)
     d.inputs = [i]
     d.outputs = [o]
-    return d
-
-
-def identity(n: int) -> Diagram:
-    d = Diagram()
-    for _ in range(n):
-        d = d.tensor(wire())
     return d
 
 
@@ -124,50 +117,26 @@ def cnot() -> Diagram:
     return d
 
 
-def hadamard_gate() -> Diagram:
-    d = Diagram()
-    h = d.add_vertex(VertexType.H)
-    d.add_input(h)
-    d.add_output(h)
-    return d
-
-
-def _cnot_on(n: int, control: int, target: int) -> Diagram:
-    """CNOT embedded on wires ``control``/``target`` of an n-wire layer."""
-    d = Diagram()
-    zc = d.add_vertex(Z, Phase.zero())
-    xt = d.add_vertex(X, Phase.zero())
-    d.add_edge(zc, xt)
-    pins = {control: zc, target: xt}
-    for k in range(n):  # wire order: interface lists are appended in k order
-        if k in pins:
-            d.add_input(pins[k])
-            d.add_output(pins[k])
-        else:
-            i = d.add_vertex(VertexType.BOUNDARY)
-            o = d.add_vertex(VertexType.BOUNDARY)
-            d.add_edge(i, o)
-            d.inputs.append(i)
-            d.outputs.append(o)
-    return d
-
-
 def ghz_measurement(n: int) -> Diagram:
-    """The GHZ-basis measurement circuit on n wires.
-
-    CNOT from wire 1 onto each of wires 2..n, then H on wire 1; reading the
-    result in the z basis maps each GHZ-class state to a distinct
-    computational basis state.
+    """The GHZ-basis measurement on n wires: CNOTs from wire 1 onto wires
+    2..n, then H on wire 1, with the controls fused into one Z spider joined
+    to each target's X spider and to the H box on output 1.  Read in the z
+    basis, it maps the GHZ-class states to distinct basis states.
     """
     if n < 2:
         raise ValueError("ghz_measurement needs at least 2 wires")
-    circuit = identity(n)
-    for target in range(1, n):
-        circuit = circuit.compose(_cnot_on(n, 0, target))
-    h_layer = hadamard_gate()
+    d = Diagram()
+    control = d.add_vertex(Z, Phase.zero())
+    h = d.add_vertex(VertexType.H)
+    d.add_edge(control, h)
+    d.add_input(control)
+    d.add_output(h)
     for _ in range(n - 1):
-        h_layer = h_layer.tensor(wire())
-    return circuit.compose(h_layer)
+        target = d.add_vertex(X, Phase.zero())
+        d.add_edge(control, target)
+        d.add_input(target)
+        d.add_output(target)
+    return d
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +172,15 @@ def ghz_class_state(k: int, table: str = "standard") -> Diagram:
     2 and 3 of the GHZ state."""
     if not 0 <= k <= 7:
         raise ValueError("GHZ class index must be in 0..7")
-    u2, u3 = UNITARY_TABLES[table][k]
-    layer = wire().tensor(pauli(u2)).tensor(pauli(u3))
-    return ghz_state().compose(layer)
+    return _encoded(UNITARY_TABLES[table][k])
 
 
-def standard_form_vector(k: int) -> np.ndarray:
-    """The textbook standard form (|0 i j> + (-1)^{b1} |1 ~i ~j>)/sqrt(2)."""
-    b1, i, j = (k >> 2) & 1, (k >> 1) & 1, k & 1
-    v = np.zeros(8, dtype=complex)
-    v[(0 << 2) | (i << 1) | j] = 1
-    v[(1 << 2) | ((1 - i) << 1) | (1 - j)] = (-1) ** b1
-    return v / math.sqrt(2)
+def _encoded(paulis: tuple[str, ...]) -> Diagram:
+    """The GHZ state on 1 + len(paulis) qubits, the Paulis on qubits 2.. ."""
+    layer = wire()
+    for name in paulis:
+        layer = layer.tensor(pauli(name))
+    return ghz_state(1 + len(paulis)).compose(layer)
 
 
 def _basis_readout(state: Diagram, tol: float) -> Optional[int]:
@@ -352,10 +318,7 @@ def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
     meas = ghz_measurement(n)
     seen: dict[int, tuple[str, ...]] = {}
     for layer_names in _pauli_layers(n):
-        layer = wire()
-        for name in layer_names:
-            layer = layer.tensor(pauli(name))
-        idx = _basis_readout(ghz_state(n).compose(layer).compose(meas), tol)
+        idx = _basis_readout(_encoded(layer_names).compose(meas), tol)
         label = "(" + ",".join(layer_names) + ")"
         if idx is None:
             report.add(label, "basis state", "superposition", False)

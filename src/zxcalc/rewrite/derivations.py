@@ -206,12 +206,12 @@ def expected_final(name: str) -> np.ndarray:
     return _DERIVATIONS[name][2].copy()
 
 
-def replay_derivation(name: str, verify: bool = True) -> Trace:
+def replay_derivation(name: str) -> Trace:
     """Run a scripted derivation end to end and return its trace.
 
-    With ``verify`` (the default) every step is checked to evaluate exactly
-    as the start does and the final diagram against the expected closed form
-    up to a scalar; any mismatch raises :class:`ReplayError`.
+    Every step is checked to evaluate exactly as the start does, and the
+    final diagram against the expected closed form up to a scalar; any
+    mismatch, or a step that no longer applies, raises :class:`ReplayError`.
     """
     try:
         builder, steps, expected = _DERIVATIONS[name]
@@ -222,28 +222,26 @@ def replay_derivation(name: str, verify: bool = True) -> Trace:
     trace = Trace(builder(), list(steps))
     replay = trace.replay()
     _, _, d = next(replay)
-    final = reference = evaluate(d) if verify else None
+    final = reference = evaluate(d)
     for _, _, match in steps:
         try:
             _, summary, d = next(replay)
         except Exception as exc:
             raise ReplayError(f"{name}: step {match.summary()} failed: {exc}") from exc
-        if verify:
-            final = evaluate(d)
-            residual = float(np.max(np.abs(final - reference)))
-            if residual > DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(reference)))):
-                raise ReplayError(
-                    f"{name}: step {summary} broke semantics (residual {residual:.3e})"
-                )
-    if verify:
-        if expected.shape != final.shape:
+        final = evaluate(d)
+        residual = float(np.max(np.abs(final - reference)))
+        if residual > DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(reference)))):
             raise ReplayError(
-                f"{name}: final shape {final.shape} != expected {expected.shape}"
+                f"{name}: step {summary} broke semantics (residual {residual:.3e})"
             )
-        verdict = equal_up_to_scalar(final, expected)
-        if not verdict.equal:
-            raise ReplayError(
-                f"{name}: final diagram does not match the expected form "
-                f"(residual {verdict.max_residual:.3e})"
-            )
+    if expected.shape != final.shape:
+        raise ReplayError(
+            f"{name}: final shape {final.shape} != expected {expected.shape}"
+        )
+    verdict = equal_up_to_scalar(final, expected)
+    if not verdict.equal:
+        raise ReplayError(
+            f"{name}: final diagram does not match the expected form "
+            f"(residual {verdict.max_residual:.3e})"
+        )
     return trace

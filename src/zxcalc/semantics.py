@@ -84,7 +84,7 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     ``einsum`` over the factors that hold it.  Its width, the class's
     neighbour count, is checked against ``max_qubits`` before it runs, as is
     the interface's.  The result is a fresh array; :class:`ResourceLimitError`
-    is raised when it is not finite.
+    is raised when it, a phase or the scale is out of the float range.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -120,7 +120,10 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     weight = {c: [1, 1] for c in sorted(map(find, d.types))}  # (w(0), w(1))
     for v, phase in d.phases.items():
         if phase.num:
-            weight[find(v)][1] *= _QUARTER_TURNS.get(phase) or cmath.exp(1j * phase.radians)
+            try:
+                weight[find(v)][1] *= _QUARTER_TURNS.get(phase) or cmath.exp(1j * phase.radians)
+            except OverflowError:  # its numerator or denominator is past the float range
+                raise ResourceLimitError("a phase is out of floating-point range") from None
     adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
     for a, b in h_edges:
         u, v = find(a), find(b)
@@ -135,7 +138,9 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     try:
         scale = 2 ** (-len(h_edges) / 2) * complex(d.scalar)
     except OverflowError:
-        raise ResourceLimitError("the value is out of floating-point range") from None
+        scale = 0
+    if scale == 0:  # neither factor is ever 0, so it underflowed
+        raise ResourceLimitError("the value is out of floating-point range")
     # a closed class with at most one neighbour b sums out in closed form,
     # w(0) + (-1)^b w(1), into b's weight or the scale
     peel = sorted((c for c in closed if len(adj[c]) <= 1), reverse=True)

@@ -84,6 +84,15 @@ def ghz_measurement_matrix(n: int) -> np.ndarray:
     return gate_on(n, 0, H_MAT) @ m
 
 
+def standard_form_vector(k: int) -> np.ndarray:
+    """The textbook standard form (|0 i j> + (-1)^{b1} |1 ~i ~j>)/sqrt(2)."""
+    b1, i, j = (k >> 2) & 1, (k >> 1) & 1, k & 1
+    v = np.zeros(8, dtype=complex)
+    v[(0 << 2) | (i << 1) | j] = 1
+    v[(1 << 2) | ((1 - i) << 1) | (1 - j)] = (-1) ** b1
+    return v / SQRT2
+
+
 def proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     """Independent up-to-scalar check (least-squares scalar fit)."""
     a = np.asarray(a, dtype=complex).reshape(-1)

@@ -6,8 +6,6 @@ lines; every tolerance is pinned here, not configurable.
 
 import math
 import random
-import subprocess
-import sys
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from zxcalc.protocols import (
     w_state,
 )
 
+from cli_process import run_cli_process
 from oracles import (
     CNOT_MAT,
     H_MAT,
@@ -261,22 +260,15 @@ def test_criterion_9_structural_properties():
 def test_criterion_10_cli_determinism():
     """Both verify commands produce byte-identical output twice, exit 0."""
 
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "zxcalc.cli", *argv], capture_output=True, timeout=600
-        )
-
-    a1 = run("verify", "sdc-ghz")
-    a2 = run("verify", "sdc-ghz")
-    b1 = run("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
-    b2 = run("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
-    ok = (
-        a1.returncode == a2.returncode == b1.returncode == b2.returncode == 0
-        and a1.stdout == a2.stdout
-        and b1.stdout == b2.stdout
-    )
+    a1 = run_cli_process("verify", "sdc-ghz")
+    a2 = run_cli_process("verify", "sdc-ghz")
+    b1 = run_cli_process("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
+    b2 = run_cli_process("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
+    codes = [p.returncode for p in (a1, a2, b1, b2)]
+    ok = codes == [0] * 4 and a1.stdout == a2.stdout and b1.stdout == b2.stdout
     verdict(
         10,
         ok,
-        f"sdc-ghz {len(a1.stdout)} bytes x2; qkd-w3 {len(b1.stdout)} bytes x2; exit 0",
+        f"sdc-ghz {len(a1.stdout)} bytes x2; qkd-w3 {len(b1.stdout)} bytes x2; "
+        f"exit {' '.join(map(str, codes))}",
     )

@@ -1,6 +1,4 @@
 import hashlib
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +9,7 @@ from zxcalc.protocols import cnot, ghz_class_state, ghz_state
 from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, replay_derivation
 from zxcalc.semantics import evaluate
 
+from cli_process import run_cli_process
 from oracles import exactly_equal
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
@@ -222,13 +221,41 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_bad_flag_value_exit_2(cnot_file, capsys):
-    code, _, err = run_cli(capsys, "eval", cnot_file, "--tol", "-1")
+    code, _, err = run_cli(capsys, "equal", cnot_file, cnot_file, "--tol", "-1")
     assert code == 2
     assert err == "error: --tol must be positive\n"
-    for flag in ("--max-qubits", "--steps"):
-        code, out, err = run_cli(capsys, "eval", cnot_file, flag, "0")
+    for command, flag in (("eval", "--max-qubits"), ("simplify", "--steps")):
+        code, out, err = run_cli(capsys, command, cnot_file, flag, "0")
         assert (code, out) == (2, "")
         assert err == "error: --max-qubits and --steps must be positive\n"
+
+
+SHARED_FLAGS = {"--tol": "0.5", "--max-qubits": "4", "--seed": "3", "--steps": "9", "--trace": "t"}
+COMMAND_FLAGS = {  # each command with its positionals -> the shared flags it reads
+    "eval x.zxg": ("--max-qubits",),
+    "equal a.zxg b.zxg": ("--tol", "--max-qubits"),
+    "rewrite S1 x.zxg": ("--trace",),
+    "simplify x.zxg": ("--steps", "--trace"),
+    "soundness S1": ("--tol", "--seed"),
+    "derivations": ("--trace",),
+    "verify sdc-ghz": ("--tol",),
+    "verify qkd-w3": ("--tol", "--seed"),
+    "render x.zxg": (),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    for flag, value in SHARED_FLAGS.items():
+        argv = [*command.split(), flag, value]
+        if flag in COMMAND_FLAGS[command]:
+            args = _build_parser().parse_args(argv)
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+            continue
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 HOSTILE_SCALARS = {
@@ -258,7 +285,7 @@ def test_hostile_scalar_has_no_traceback_or_warning(tmp_path):
     text, message = HOSTILE_SCALARS["2100 diamonds"]
     path = tmp_path / "hostile.zxg"
     path.write_text(text)
-    proc = _run_subprocess("eval", str(path))
+    proc = run_cli_process("eval", str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
 
 
@@ -268,8 +295,17 @@ def test_value_out_of_float_range_exit_2(tmp_path, capsys):
     path.write_text("".join(f"node z{k} Z 0\n" for k in range(1100)))
     message = "error: the value is out of floating-point range\n"
     assert run_cli(capsys, "eval", str(path)) == (2, "", message)
-    proc = _run_subprocess("eval", str(path))  # no warning reaches stderr
+    proc = run_cli_process("eval", str(path))  # no warning reaches stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+
+
+def test_huge_phase_token_exit_2_without_traceback(tmp_path):
+    # a reduced phase (2*10**400 - 1)/10**400: exact, but no float holds its parts
+    path = tmp_path / "hostile.zxg"
+    path.write_text(f"node a Z {2 * 10**400 - 1}/{10**400}\nnode i B\nedge a i\noutputs i\n")
+    proc = run_cli_process("eval", str(path))
+    message = b"error: a phase is out of floating-point range\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
 
 
 @pytest.mark.parametrize("strategy", ["safe", "full"])
@@ -284,21 +320,13 @@ def test_simplify_prints_a_diagram_of_the_same_value(capsys, strategy):
     assert "\nscalar -2 0\n" in out
 
 
-def _run_subprocess(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "zxcalc.cli", *argv],
-        capture_output=True,
-        timeout=300,
-    )
-
-
 def test_cli_byte_determinism():
-    first = _run_subprocess("verify", "sdc-ghz")
-    second = _run_subprocess("verify", "sdc-ghz")
+    first = run_cli_process("verify", "sdc-ghz")
+    second = run_cli_process("verify", "sdc-ghz")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
-    third = _run_subprocess("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
-    fourth = _run_subprocess("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
+    third = run_cli_process("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
+    fourth = run_cli_process("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
     assert third.returncode == fourth.returncode == 0
     assert third.stdout == fourth.stdout

@@ -26,7 +26,7 @@ def test_all_derivations_replay_clean():
         "qkd_core",
     }
     for name in DERIVATION_NAMES:
-        trace = replay_derivation(name)  # verify=True checks every step
+        trace = replay_derivation(name)  # checks every step
         assert len(trace) >= 1
 
 
@@ -34,7 +34,7 @@ def test_every_step_is_semantics_preserving():
     """The .zxg snapshots carry the scalar, so each parsed snapshot evaluates
     exactly as the start does."""
     for name in DERIVATION_NAMES:
-        trace = replay_derivation(name, verify=False)
+        trace = replay_derivation(name)
         snapshots = [parse_zxg(s.snapshot) for s in trace.steps]
         reference = evaluate(snapshots[0])
         for snap in snapshots[1:]:
@@ -45,7 +45,7 @@ def test_each_step_evaluates_exactly_as_the_start():
     """The replayed diagrams carry their scalar, so no step may change the
     value at all, not even by a global factor."""
     for name in DERIVATION_NAMES:
-        diagrams = [d for _, _, d in replay_derivation(name, verify=False).replay()]
+        diagrams = [d for _, _, d in replay_derivation(name).replay()]
         start = evaluate(diagrams[0])
         for d in diagrams[1:]:
             assert exactly_equal(evaluate(d), start, tol=1e-12), name
@@ -138,8 +138,6 @@ def test_verified_replay_evaluates_each_diagram_once(monkeypatch):
     trace = replay_derivation("qkd_core")
     assert len(trace) == 17
     assert len(calls) == 18  # the start and each step; the last doubles as the final check
-    replay_derivation("qkd_core", verify=False)
-    assert len(calls) == 18
 
 
 def test_stale_script_step_is_named(monkeypatch):
@@ -150,9 +148,8 @@ def test_stale_script_step_is_named(monkeypatch):
     script = [derivations._b1(1, 0), derivations._d1(4, 5)]
     monkeypatch.setitem(derivations._DERIVATIONS, "stale", (builder, script, expected))
     message = r"^stale: step D1 at \[4, 5\] failed: D1 at \[4, 5\] no longer applies$"
-    for verify in (True, False):
-        with pytest.raises(ReplayError, match=message):
-            replay_derivation("stale", verify=verify)
+    with pytest.raises(ReplayError, match=message):
+        replay_derivation("stale")
 
 
 def test_unknown_name_raises():

@@ -18,7 +18,7 @@ from zxcalc.phase import Phase, Scalar
 from zxcalc.semantics import evaluate
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
 
-from oracles import SIGMA_X, SIGMA_Z, isomorphic, kron_all, proportional
+from oracles import SIGMA_X, SIGMA_Z, exactly_equal, isomorphic, kron_all, proportional
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -412,20 +412,24 @@ _scalars = st.builds(
 
 
 @st.composite
-def _diagrams(draw):
+def _diagrams(draw, arity=None):
     """Spiders with parallel edges and self-loops, H boxes, boundaries and a
     random Scalar.  The edges go in sorted, as ``serialize_zxg`` writes them:
     evaluation labels tensor axes in edge insertion order, so only then are
-    the float bytes of the two evaluations, not just their values, equal."""
+    the float bytes of the two evaluations, not just their values, equal.
+    ``arity``, an (inputs, outputs) pair, fixes the pins; else they are drawn."""
     d = Diagram()
     n = draw(st.integers(1, 5))
     spiders = [d.add_vertex(draw(st.sampled_from((Z, X))), draw(_phases)) for _ in range(n)]
     pick = st.sampled_from(spiders)
     hs = [d.add_vertex(VertexType.H) for _ in range(draw(st.integers(0, 2)))]
-    pins = [
-        (d.add_input if draw(st.booleans()) else d.add_output)()
-        for _ in range(draw(st.integers(0, 4)))
-    ]
+    if arity is None:
+        pins = [
+            (d.add_input if draw(st.booleans()) else d.add_output)()
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+    else:
+        pins = [d.add_input() for _ in range(arity[0])] + [d.add_output() for _ in range(arity[1])]
     edges = [(draw(pick), draw(pick)) for _ in range(draw(st.integers(0, 8)))]
     edges += [(v, draw(pick)) for v in hs + hs + pins]
     for a, b in sorted(tuple(sorted(e)) for e in edges):
@@ -444,3 +448,28 @@ def test_zxg_round_trip_is_exact(d):
     assert again.scalar == d.scalar
     assert serialize_zxg(again) == text
     assert evaluate(again).tobytes() == evaluate(d).tobytes()
+
+
+# ----------------------------------------------------------------------
+# property: sequential and parallel composition are associative
+
+
+def _same_diagram(left, right):
+    note(serialize_zxg(left))
+    note(serialize_zxg(right))
+    assert left.scalar == right.scalar
+    assert isomorphic(left, right)
+    assert exactly_equal(evaluate(left), evaluate(right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=4, max_size=4), st.data())
+def test_compose_is_associative(wires, data):
+    a, b, c = (data.draw(_diagrams((wires[k], wires[k + 1]))) for k in range(3))
+    _same_diagram(a.compose(b).compose(c), a.compose(b.compose(c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagrams(), _diagrams(), _diagrams())
+def test_tensor_is_associative(a, b, c):
+    _same_diagram(a.tensor(b).tensor(c), a.tensor(b.tensor(c)))

@@ -42,8 +42,6 @@ def test_negation_wraps():
 def test_predicates_and_radians():
     assert Phase(0).is_zero() and not Phase(0).is_pi()
     assert Phase(1).is_pi()
-    assert Phase(1, 2).is_clifford()
-    assert not Phase(1, 3).is_clifford()
     assert Phase(1, 2).radians == pytest.approx(math.pi / 2)
 
 

@@ -18,9 +18,9 @@ from zxcalc.protocols import (
     sdc_decode,
     sdc_n_ghz_verify,
     sdc_verify_all,
-    standard_form_vector,
     w_state,
 )
+from zxcalc.graph import Diagram, VertexType
 
 from oracles import (
     CNOT_MAT,
@@ -29,8 +29,10 @@ from oracles import (
     SIGMA_X,
     SIGMA_Z,
     W_VECTOR,
+    exactly_equal,
     ghz_measurement_matrix,
     proportional,
+    standard_form_vector,
 )
 
 
@@ -107,6 +109,35 @@ def test_ghz_measurement_matches_circuit_oracle():
         )
     with pytest.raises(ValueError):
         ghz_measurement(1)
+
+
+def _composed_ghz_measurement(n: int) -> Diagram:
+    """The GHZ-basis measurement as the circuit it fuses from: a layer for
+    each CNOT from wire 1 onto wires 2..n, then a layer with H on wire 1."""
+
+    def layer(gate: dict) -> Diagram:
+        # a vertex of the given type on each gate wire, a plain wire elsewhere
+        d = Diagram()
+        pins = {k: d.add_vertex(ty) for k, ty in gate.items()}
+        if len(pins) == 2:
+            d.add_edge(*pins.values())
+        for k in range(n):
+            if k in pins:
+                d.add_input(pins[k])
+                d.add_output(pins[k])
+            else:
+                d.add_edge(d.add_input(), d.add_output())
+        return d
+
+    circuit = layer({})
+    for target in range(1, n):
+        circuit = circuit.compose(layer({0: VertexType.Z, target: VertexType.X}))
+    return circuit.compose(layer({0: VertexType.H}))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_fused_ghz_measurement_equals_the_circuit(n):
+    assert exactly_equal(evaluate(ghz_measurement(n)), evaluate(_composed_ghz_measurement(n)))
 
 
 def test_ghz_measurement_on_bell_state():

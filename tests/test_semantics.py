@@ -388,6 +388,27 @@ def test_scalar_out_of_float_range_is_refused():
     assert evaluate(d)[0, 0] == 2.0**1000
 
 
+def test_value_below_float_range_is_refused_not_zeroed():
+    # a diagram's scalar is never zero, so a scale that underflows to 0 would
+    # print a wrong all-zero matrix
+    d = wire()
+    d.scalar = Scalar(-5000)
+    with pytest.raises(ResourceLimitError, match="the value is out of floating-point range"):
+        evaluate(d)
+    # two Z(0) spiders on a wire, joined through 2,200 parallel H boxes: the
+    # H boxes cancel in pairs, leaving 2**-1100 times the all-ones matrix
+    d = Diagram()
+    a, b = d.add_vertex(Z), d.add_vertex(Z)
+    d.add_input(a)
+    d.add_output(b)
+    for _ in range(2200):
+        h = d.add_vertex(VertexType.H)
+        d.add_edge(a, h)
+        d.add_edge(h, b)
+    with pytest.raises(ResourceLimitError, match="the value is out of floating-point range"):
+        evaluate(d)
+
+
 def test_long_ladder_is_identity():
     m = evaluate(_ladder(200))
     # the scalar is 2**-100, below any absolute tolerance: compare normalised
