@@ -59,6 +59,25 @@ def _write_trace(trace, path: str | None) -> None:
             fh.write(trace.render())
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors name a flag it does not know, rather than
+    the positional argument argparse gave that flag's value to (``zxcalc
+    derivations --tol 0.5`` would otherwise be "invalid choice: '0.5'")."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        known = self._option_string_actions  # an abbreviation is a prefix of its flag
+        for flag in (arg.partition("=")[0] for arg in getattr(self, "_argv", ())):
+            if flag.startswith("--") and not any(k.startswith(flag) for k in known):
+                if not message.startswith("unrecognized arguments"):  # that names it already
+                    message = f"unrecognized arguments: {flag}"
+                break
+        super().error(message)
+
+
 class _FlagBeforeProtocol(argparse.Action):
     """A ``verify`` flag given before the protocol name: a usage error that
     names the flag, not the value argparse would take for the protocol."""
@@ -79,7 +98,7 @@ _FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zxcalc", description=__doc__)
+    parser = _Parser(prog="zxcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(parent, name, flags, **kwargs):

@@ -234,22 +234,24 @@ class Diagram:
 
     def validate(self) -> None:
         """Raise :class:`InvariantError` unless every diagram invariant holds."""
+        boundaries = 0
         for v, ty in self.types.items():
-            degree = len(self._inc[v])
-            if ty is VertexType.BOUNDARY and degree != 1:
-                raise InvariantError(f"boundary vertex {v} must have degree 1")
-            if ty is VertexType.H and degree != 2:
+            if ty is VertexType.BOUNDARY:
+                if len(self._inc[v]) != 1:
+                    raise InvariantError(f"boundary vertex {v} must have degree 1")
+                boundaries += 1
+            elif ty is VertexType.H and len(self._inc[v]) != 2:
                 raise InvariantError(f"H vertex {v} must have degree 2")
         interface = self.inputs + self.outputs
         for v in interface:
-            if v not in self.types:
+            ty = self.types.get(v)
+            if ty is None:
                 raise InvariantError(f"interface lists missing vertex {v}")
-            if self.types[v] is not VertexType.BOUNDARY:
+            if ty is not VertexType.BOUNDARY:
                 raise InvariantError(f"interface vertex {v} is not a boundary")
         if len(set(interface)) != len(interface):
             raise InvariantError("a boundary vertex appears twice in the interface")
-        boundary = {v for v, t in self.types.items() if t is VertexType.BOUNDARY}
-        if boundary != set(interface):
+        if boundaries != len(interface):  # the interface holds only distinct boundaries
             raise InvariantError("every boundary vertex must appear in the interface")
 
     # ------------------------------------------------------------------

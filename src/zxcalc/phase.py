@@ -20,9 +20,15 @@ class Phase:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int | Fraction = 0, den: int = 1):
-        f = Fraction(num, den) % 2
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        if type(num) is int and type(den) is int and den > 0:  # the common case, without Fraction
+            num %= 2 * den
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        else:
+            f = Fraction(num, den) % 2
+            num, den = f.numerator, f.denominator
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -391,16 +393,30 @@ def qkd_check_lemmas(tol: float = 1e-9) -> ProtocolReport:
 _ACCEPTED_PATTERNS = {("z", "x", "x"), ("x", "z", "x"), ("x", "x", "z")}
 
 
-def _outcome_distribution(
+def _round_table(
     w_vec: np.ndarray, bases: tuple[str, str, str]
-) -> list[tuple[tuple[str, str, str], float]]:
-    """Joint Born distribution of the eight sign patterns for a basis triple."""
-    out = []
+) -> tuple[list[float], list[QkdRound]]:
+    """For a basis triple, the running Born sums of the eight sign patterns
+    (in pattern order, added one at a time) and each pattern's round record."""
+    sums, records, acc = [], [], 0.0
     for bits in range(8):
         signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
-        labels = [bases[k] + signs[k] for k in range(3)]
-        out.append((signs, _born_from_vector(w_vec, labels)))
-    return out
+        acc += _born_from_vector(w_vec, [bases[k] + signs[k] for k in range(3)])
+        sums.append(acc)
+        records.append(_round_record(bases, signs))
+    return sums, records
+
+
+def _round_record(bases: tuple[str, str, str], signs: tuple[str, str, str]) -> QkdRound:
+    """The record of a round that drew ``bases`` and measured ``signs``."""
+    if bases not in _ACCEPTED_PATTERNS:
+        return QkdRound(bases, signs, accepted=False)
+    decider = bases.index("z")
+    if signs[decider] != "+":
+        return QkdRound(bases, signs, accepted=False, decider=decider)
+    s1, s2 = (signs[k] for k in range(3) if k != decider)
+    bit = None if s1 != s2 else 0 if s1 == "+" else 1
+    return QkdRound(bases, signs, accepted=True, decider=decider, shared_bit=bit)
 
 
 def qkd_simulate(
@@ -423,11 +439,8 @@ def qkd_simulate(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     rng = random.Random(seed)
-    all_patterns = [
-        (a, b, c) for a in "zx" for b in "zx" for c in "zx"
-    ]
     w_vec = evaluate(w_state()).reshape(-1)
-    distributions = {bases: _outcome_distribution(w_vec, bases) for bases in all_patterns}
+    tables = {bases: _round_table(w_vec, bases) for bases in product("zx", repeat=3)}
     sacrificial = set(eavesdrop_checks or ())
 
     n_basis_accepted = 0
@@ -438,39 +451,25 @@ def qkd_simulate(
     log: list[QkdRound] = []
 
     for r in range(rounds):
-        bases = tuple(rng.choice("zx") for _ in range(3))
-        dist = distributions[bases]
+        sums, records = tables[rng.choice("zx"), rng.choice("zx"), rng.choice("zx")]
         u = rng.random()
-        acc = 0.0
-        signs = dist[-1][0]
-        for outcome, p in dist:
-            acc += p
-            if u < acc:
-                signs = outcome
-                break
-        if bases not in _ACCEPTED_PATTERNS:
-            log.append(QkdRound(bases, signs, accepted=False))
+        # the first pattern whose running sum passes u, else the last
+        record = records[min(bisect_right(sums, u), 7)]
+        log.append(record)  # records are frozen, so rounds share them
+        if record.decider is None:
             continue
         n_basis_accepted += 1
-        decider = bases.index("z")
-        if signs[decider] != "+":
-            log.append(QkdRound(bases, signs, accepted=False, decider=decider))
+        if not record.accepted:
             continue
         n_decider_plus += 1
-        others = tuple(k for k in range(3) if k != decider)
-        s1, s2 = signs[others[0]], signs[others[1]]
-        if s1 != s2:
+        if record.shared_bit is None:
             n_unequal += 1
-            log.append(QkdRound(bases, signs, accepted=True, decider=decider))
             continue
-        bit = 0 if s1 == "+" else 1
-        log.append(
-            QkdRound(bases, signs, accepted=True, decider=decider, shared_bit=bit)
-        )
         if r in sacrificial:
             n_sacrificed += 1
             continue
-        key_bits.setdefault(others, []).append(bit)
+        others = tuple(k for k in range(3) if k != record.decider)
+        key_bits.setdefault(others, []).append(record.shared_bit)
 
     report = ProtocolReport("qkd-w3-mc", seed=seed)
     report.rounds = log

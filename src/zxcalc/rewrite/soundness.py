@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -30,13 +29,12 @@ from .rules import FORWARD, RewriteRule, get_rule
 Z, X = VertexType.Z, VertexType.X
 
 _MATCHES_PER_SAMPLE = 4
+_QUARTER_TURNS = (Phase(0), Phase(1, 2), Phase(1), Phase(3, 2))  # in every phase pool
 
 
 def _phase_pool(rng: random.Random) -> list[Phase]:
     """The four pi/2 multiples plus one random rational multiple of pi."""
-    pool = [Phase(0), Phase(1, 2), Phase(1), Phase(3, 2)]
-    pool.append(Phase(Fraction(rng.randint(1, 23), rng.randint(1, 12))))
-    return pool
+    return [*_QUARTER_TURNS, Phase(rng.randint(1, 23), rng.randint(1, 12))]
 
 
 def random_diagram(rng: random.Random, max_vertices: int = 8, max_boundaries: int = 4) -> Diagram:
@@ -225,9 +223,9 @@ def check_soundness(
             report.skipped += 1
             continue
         before = evaluate(d)
-        scale = float(np.max(np.abs(before)))
+        scale = float(np.abs(before).max())
         for m in matches:
-            residual = float(np.max(np.abs(evaluate(rule.apply(d, m)) - before)))
+            residual = float(np.abs(evaluate(rule.apply(d, m)) - before).max())
             report.checks += 1
             report.vacuous += scale <= tol
             if residual > tol * max(1.0, scale):

@@ -12,6 +12,10 @@ prod (-1)^(a_u a_v) (Dawson et al., quant-ph/0408129; Amy, arXiv:1805.06908).
 This is the usual interpretation: a Z spider of phase a has all-zeros entry
 1 and all-ones entry e^{ia}, an X spider is that with a Hadamard on every
 leg, H is the Hadamard with its 1/sqrt(2), and a boundary is a wire end.
+The edges are read in edge-id order, the order they were added in (that of
+:attr:`~zxcalc.graph.Diagram.edges`).  That order decides which leg of an H
+box is its first and the order in which the factors are built and
+multiplied, so the bits of the result rest on it.
 
 The classes holding a boundary are open.  A closed class with at most one
 neighbour b sums out in closed form, w(0) + (-1)^b w(1); the others are
@@ -31,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .graph import Diagram, VertexType
-from .phase import Phase
 
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
@@ -44,7 +47,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 _PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
-_QUARTER_TURNS = {Phase(1, 2): 1j, Phase(1): -1, Phase(3, 2): -1j}  # e^{ia}, exactly
+_QUARTER_TURNS = {(1, 2): 1j, (1, 1): -1, (3, 2): -1j}  # e^{ia} by (num, den), exactly
+_H, _X = VertexType.H, VertexType.X
 _OPERANDS = 16  # per einsum call, below numpy's operand limit
 
 # Unit effect vectors for Born-rule amplitudes.
@@ -78,13 +82,15 @@ def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
 def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Sum a diagram over its spider variables to its ``2**m x 2**n`` matrix.
 
-    A class of merged variables is named by its lowest vertex id.  Closed
-    classes with at most one neighbour are summed out first, in closed form;
-    the rest in min-degree order, ties to the lowest id, each by one
-    ``einsum`` over the factors that hold it.  Its width, the class's
-    neighbour count, is checked against ``max_qubits`` before it runs, as is
-    the interface's.  The result is a fresh array; :class:`ResourceLimitError`
-    is raised when it, a phase or the scale is out of the float range.
+    The edges are read in edge-id order, which fixes each H box's first leg
+    and the order of the factors.  A class of merged variables is named by
+    its lowest vertex id.  Closed classes with at most one neighbour are
+    summed out first, in closed form; the rest in min-degree order, ties to
+    the lowest id, each by one ``einsum`` over the factors that hold it.
+    Its width, the class's neighbour count, is checked against
+    ``max_qubits`` before it runs, as is the interface's.  The result is a
+    fresh array; :class:`ResourceLimitError` is raised when it, a phase or
+    the scale is out of the float range.
     """
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
@@ -93,47 +99,51 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
             f"interface has {m + n} wires, exceeding the cap of {max_qubits}"
         )
 
-    parent = {v: v for v in d.types}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
+    # the edges in edge-id order, each (low, high) once: H first legs and the
+    # factor order follow it
+    edges = [(e, v, w) for v, inc in d._inc.items() for e, w in inc.items() if e >= 0 and v <= w]
+    edges.sort()
+    types = d.types
+    parent = dict(zip(types, types))
     plain_leg_taken: set[int] = set()  # H boxes whose first leg was read
-
-    def through_h(v: int) -> bool:
-        ty = d.types[v]
-        if ty is VertexType.H and v not in plain_leg_taken:
-            plain_leg_taken.add(v)
-            return False
-        return ty is VertexType.X or ty is VertexType.H
-
     h_edges = []
-    for a, b in d.edges:
-        if through_h(a) == through_h(b):
-            ra, rb = find(a), find(b)
-            parent[max(ra, rb)] = min(ra, rb)
-        else:
+    for _, a, b in edges:
+        ta, tb = types[a], types[b]  # read each leg: through H (X, a second H leg) or plainly
+        ha = a in plain_leg_taken if ta is _H else ta is _X
+        if ta is _H:
+            plain_leg_taken.add(a)
+        hb = b in plain_leg_taken if tb is _H else tb is _X
+        if tb is _H:
+            plain_leg_taken.add(b)
+        if ha != hb:
             h_edges.append((a, b))
+            continue
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[max(a, b)] = min(a, b)
+    for v in sorted(parent):  # flatten (parents have lower ids): parent[v] is v's class
+        parent[v] = parent[parent[v]]
 
-    weight = {c: [1, 1] for c in sorted(map(find, d.types))}  # (w(0), w(1))
+    weight = {c: [1, 1] for c in sorted(set(parent.values()))}  # (w(0), w(1))
     for v, phase in d.phases.items():
         if phase.num:
             try:
-                weight[find(v)][1] *= _QUARTER_TURNS.get(phase) or cmath.exp(1j * phase.radians)
+                turn = _QUARTER_TURNS.get((phase.num, phase.den))
+                weight[parent[v]][1] *= turn or cmath.exp(1j * phase.radians)
             except OverflowError:  # its numerator or denominator is past the float range
                 raise ResourceLimitError("a phase is out of floating-point range") from None
     adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
     for a, b in h_edges:
-        u, v = find(a), find(b)
+        u, v = parent[a], parent[b]
         if u == v:
             weight[u][1] = -weight[u][1]
         else:  # parallel H edges cancel in pairs
             adj[u] ^= {v}
             adj[v] ^= {u}
 
-    pins = [find(v) for v in d.outputs + d.inputs]
+    pins = [parent[v] for v in d.outputs + d.inputs]
     closed = set(weight).difference(pins)
     try:
         scale = 2 ** (-len(h_edges) / 2) * complex(d.scalar)
@@ -198,7 +208,9 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     out = np.full((2,) * len(opens), scale, dtype=complex)
     for key, t in factors.items():
         out *= t.reshape([2 if u in key else 1 for u in opens])
-    if pins:
+    if len(opens) == len(pins):  # no two pins share a class
+        out = out.transpose([opens.index(c) for c in pins])
+    else:
         # write out into the diagonal of the pins that share a class
         result = np.zeros((2,) * len(pins), dtype=complex)
         np.einsum(result, [opens.index(c) for c in pins], range(len(opens)))[...] = out

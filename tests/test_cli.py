@@ -258,6 +258,20 @@ def test_each_command_takes_only_the_flags_it_reads(command, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["derivations", "--tol", "0.5"], ["verify", "--steps", "3", "sdc-ghz"]]
+)
+def test_unread_flag_before_a_positional_is_named(argv, capsys):
+    # argparse alone gives the flag's value to the optional positional and
+    # blames that ("argument name: invalid choice: '0.5'")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {argv[1]}")
+
+
 HOSTILE_SCALARS = {
     "pi node": ("scalar 1 0 1\n", "error: line 1: a scalar node of phase 1 (pi) has the factor 0\n"),
     "malformed": (

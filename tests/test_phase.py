@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zxcalc.phase import Phase, Scalar
 
@@ -82,3 +85,46 @@ def test_scalar_immutable():
     s = Scalar(1)
     with pytest.raises(AttributeError):
         s.power = 2
+
+
+# ints on both sides of zero and past 2**64, where a shortcut through fixed
+# width arithmetic would wrap
+_INTS = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+
+
+@given(_INTS, _INTS.filter(bool))
+def test_normalisation_agrees_with_fraction(a, b):
+    f = Fraction(a, b) % 2
+    p = Phase(a, b)
+    assert (p.num, p.den) == (f.numerator, f.denominator)
+    assert type(p.num) is int and type(p.den) is int
+
+
+def test_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        Phase(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        Phase(np.int64(1), 0)
+
+
+def test_other_argument_types_keep_their_results():
+    cases = {
+        (True,): (1, 1),
+        (True, True): (1, 1),
+        (False,): (0, 1),
+        (Fraction(5, 2),): (1, 2),
+        (Fraction(7, 3), 2): (7, 6),
+        (1, -2): (3, 2),
+        (-3, -4): (3, 4),
+        (np.int64(3), np.int64(2)): (3, 2),
+        (np.int64(5),): (1, 1),
+        (3, np.int32(4)): (3, 4),
+    }
+    for args, (num, den) in cases.items():
+        p = Phase(*args)
+        assert (p.num, p.den) == (num, den), args
+    # numpy ints keep their numpy types, as Fraction gives them
+    assert type(Phase(np.int64(3), np.int64(2)).num) is np.int64
+    for args in ((1.5,), (1, 2.0), ("1",), (np.True_,)):
+        with pytest.raises(TypeError):
+            Phase(*args)

@@ -302,6 +302,9 @@ def test_qkd_simulate_rejects_bad_rounds():
 # "unequal" residual lines (5.136e-34 and 0.000e+00) differs
 QKD_SIMULATE_DIGEST = "e1e8d854c9508deb3595055ebcd53e82507189f0b08040383343a45a6b43b163"
 QKD_LEMMAS_DIGEST = "6a4eacd2ac0bdff3c5e317ad8650bbe5cf778f713d4fec4241205adb4eed8447"
+# sha256 of the round log of qkd_simulate(2000, seed=7): one repr of
+# (bases, outcomes, accepted, decider, shared_bit) per round, newline-joined
+QKD_ROUND_LOG_DIGEST = "761a4496689803fb3714360ea169670740bdfcd5425d0a413a397f145bbbd2ac"
 
 
 def test_qkd_reports_pinned():
@@ -309,6 +312,14 @@ def test_qkd_reports_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == QKD_SIMULATE_DIGEST
     text = qkd_check_lemmas().render()
     assert hashlib.sha256(text.encode()).hexdigest() == QKD_LEMMAS_DIGEST
+
+
+def test_qkd_round_log_pinned():
+    log = "\n".join(
+        repr((r.bases, r.outcomes, r.accepted, r.decider, r.shared_bit))
+        for r in qkd_simulate(2000, seed=7).rounds
+    )
+    assert hashlib.sha256(log.encode()).hexdigest() == QKD_ROUND_LOG_DIGEST
 
 
 def test_qkd_evaluates_the_w_state_once(monkeypatch):

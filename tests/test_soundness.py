@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from zxcalc.rewrite import (
     BACKWARD,
+    FORWARD,
     RULE_NAMES,
     check_soundness,
     get_rule,
@@ -81,3 +83,22 @@ def test_vacuous_and_skipped_counts():
     report = check_soundness("B2", samples=200, seed=0)
     assert (report.checks, report.vacuous, report.skipped) == (129, 21, 79)
     assert report.render().endswith("0 failures, 21 vacuous, 79 skipped")
+
+
+# sha256 over check_soundness(rule, samples=50, seed=0).render() for all 16
+# (rule, direction) pairs, joined by newlines: the renders count the checks,
+# vacuous and skipped samples and carry each failure's .zxg, so a change to
+# which random diagrams are drawn (the phase pool, Phase, embed_lhs) shows here
+SOUNDNESS_PAIRS = [(name, FORWARD) for name in RULE_NAMES] + [
+    ("S1", BACKWARD), ("B2", BACKWARD), ("C", BACKWARD)
+]
+SOUNDNESS_RENDERS_DIGEST = "803eb13bb9df58186d8ccea5ce191210b74b12c68911aa11369ed9a44d345c74"
+
+
+def test_sampler_random_stream_pinned():
+    assert len(SOUNDNESS_PAIRS) == 16
+    text = "\n".join(
+        check_soundness(get_rule(name, direction), samples=50, seed=0).render()
+        for name, direction in SOUNDNESS_PAIRS
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SOUNDNESS_RENDERS_DIGEST
