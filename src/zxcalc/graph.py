@@ -192,10 +192,11 @@ class Diagram:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Every edge as ``(low, high)`` in insertion order: a fresh list."""
-        ends = {
-            e: (v, w) for v, inc in self._inc.items() for e, w in inc.items() if v <= w and e >= 0
-        }
-        return [ends[e] for e in sorted(ends)]
+        ends = [
+            (e, v, w) for v, inc in self._inc.items() for e, w in inc.items() if v <= w and e >= 0
+        ]
+        ends.sort()
+        return [(v, w) for _, v, w in ends]
 
     def vertices(self) -> list[int]:
         return sorted(self.types)

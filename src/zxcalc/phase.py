@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,13 +21,14 @@ class Phase:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int | Fraction = 0, den: int = 1):
-        if type(num) is int and type(den) is int and den > 0:  # the common case, without Fraction
-            num %= 2 * den
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-        else:
-            f = Fraction(num, den) % 2
-            num, den = f.numerator, f.denominator
+        if type(num) is not int or type(den) is not int or den <= 0:  # not the common case
+            # numpy ints become plain ints, whose arithmetic cannot overflow
+            num = num if isinstance(num, Fraction) else operator.index(num)
+            den = den if isinstance(den, Fraction) else operator.index(den)
+            num, den = Fraction(num, den).as_integer_ratio()
+        num %= 2 * den
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

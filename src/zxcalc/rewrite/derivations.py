@@ -26,6 +26,7 @@ import numpy as np
 
 from ..graph import Diagram, VertexType
 from ..phase import Phase
+from ..protocols import ghz_state, w_state
 from ..semantics import DEFAULT_TOLERANCE, equal_up_to_scalar, evaluate
 from .rules import BACKWARD, _match, get_rule, unfuse_match
 from .simplify import Trace
@@ -74,32 +75,32 @@ def _rule_a_start() -> Diagram:
     return d
 
 
-def _ghz_plugged(point: str) -> Diagram:
-    from ..protocols import ghz_state
-
-    return ghz_state().plugged("output", 0, point)
-
-
-def _w_plugged(point: str) -> Diagram:
-    from ..protocols import w_state
-
-    return w_state().plugged("output", 0, point)
-
-
-def _qkd_core_start() -> Diagram:
-    """Decider gets z+ on wire 1; both x measurements read x- (equal)."""
-    from ..protocols import w_state
-
-    d = w_state().plugged("output", 0, "z+")
-    d = d.plugged("output", 0, "x-")
-    d = d.plugged("output", 0, "x-")
+def _w_plugged(*points: str) -> Diagram:
+    """The W state with ``points`` plugged into its outputs in order."""
+    d = w_state()
+    for point in points:
+        d = d.plugged("output", 0, point)
     return d
 
 
+# w_plug0's script, which qkd_core extends: z+ fuses into wire 1 of the W
+# state and copies through it; the carrier branch collapses, leaving the
+# two-wire odd-parity spider.  W-state ids: wires 0,1,2; parity 3; carrier
+# 4; gadgets 5,6,7; gadget points 8,9,10; boundaries 11,12,13.
+_W_PLUG0 = [
+    _unfuse(0, (), Phase(1, 4)),  # wire-1 phase off as point 14
+    _b1(11, 0),  # copy: points 15, 16, 17
+    _d1(14, 17),
+    _s1(3, 15),  # parity absorbs the copy
+    _s1(5, 16),  # gadget absorbs the copy
+    _s2a(5),  # gadget is now an identity
+    _s1(4, 8),  # carrier eats its gadget point
+    _s2a(4),  # carrier is now an identity
+    _s1(6, 7),  # remaining gadgets fuse
+]
+
+
 # Each entry: (builder, steps, expected matrix up to scalar).
-# Vertex ids follow the deterministic allocation of the builders; see the
-# step-by-step comments.  W-state ids: wires 0,1,2; parity 3; carrier 4;
-# gadgets 5,6,7; gadget points 8,9,10; boundaries 11,12,13.
 _DERIVATIONS: dict[str, tuple] = {
     # Z(0)=X(0) pair joined twice; unfuse both spiders, disconnect the inner
     # pair, fuse the halves back: the wire splits into a point pair.
@@ -127,30 +128,18 @@ _DERIVATIONS: dict[str, tuple] = {
         np.array([0, 0, 0, 1], dtype=complex).reshape(4, 1),
     ),
     "ghz_plug0": (
-        lambda: _ghz_plugged("z+"),
+        lambda: ghz_state().plugged("output", 0, "z+"),
         [_b1(1, 0)],
         np.array([1, 0, 0, 0], dtype=complex).reshape(4, 1),
     ),
     "ghz_plug1": (
-        lambda: _ghz_plugged("z-"),
+        lambda: ghz_state().plugged("output", 0, "z-"),
         [_k1(1, 0)],
         np.array([0, 0, 0, 1], dtype=complex).reshape(4, 1),
     ),
-    # z+ fuses into wire 1 of the W state and copies through it; the carrier
-    # branch collapses, leaving the two-wire odd-parity spider.
     "w_plug0": (
         lambda: _w_plugged("z+"),
-        [
-            _unfuse(0, (), Phase(1, 4)),  # wire-1 phase off as point 14
-            _b1(11, 0),  # copy: points 15, 16, 17
-            _d1(14, 17),
-            _s1(3, 15),  # parity absorbs the copy
-            _s1(5, 16),  # gadget absorbs the copy
-            _s2a(5),  # gadget is now an identity
-            _s1(4, 8),  # carrier eats its gadget point
-            _s2a(4),  # carrier is now an identity
-            _s1(6, 7),  # remaining gadgets fuse
-        ],
+        _W_PLUG0,
         np.array([0, 1, 1, 0], dtype=complex).reshape(4, 1),
     ),
     # z- pushes a pi through the same structure; the parity spider absorbs
@@ -170,21 +159,13 @@ _DERIVATIONS: dict[str, tuple] = {
         ],
         np.array([1, 0, 0, 0], dtype=complex).reshape(4, 1),
     ),
-    # Full measured round, equal x outcomes: the diagram closes up and
-    # collapses to the nonzero scalar Z(0) spider (value 2), the
-    # equal-outcome witness; unequal outcomes would leave Z(pi) = 0.
+    # Full measured round: the decider gets z+ on wire 1 and both x
+    # measurements read x- (equal).  After w_plug0's steps the diagram
+    # closes up and collapses to the nonzero scalar Z(0) spider (value 2),
+    # the equal-outcome witness; unequal outcomes would leave Z(pi) = 0.
     "qkd_core": (
-        _qkd_core_start,
-        [
-            _unfuse(0, (), Phase(1, 4)),
-            _b1(11, 0),
-            _d1(14, 17),
-            _s1(3, 15),
-            _s1(5, 16),
-            _s2a(5),
-            _s1(4, 8),
-            _s2a(4),
-            _s1(6, 7),
+        lambda: _w_plugged("z+", "x-", "x-"),
+        _W_PLUG0 + [
             _s1(1, 12),  # x- effect fuses into wire 2
             _s1(2, 13),  # x- effect fuses into wire 3
             _k2(3, 1),  # parity pi commutes through wire 2

@@ -30,10 +30,10 @@ supplies three parts:
   before it changes them, and multiplies ``d.scalar`` by the factor λ with
   before = λ · after.
 
-``iter_matches`` lazily yields the candidates that hold and ``find_matches``
-lists them, so matches come out deterministically, ascending in their vertex
-ids taken in the order of ``roles``; the first match is
-``next(iter_matches(d))`` and costs only the candidates before it.
+``iter_matches`` lazily yields the candidates that hold, so matches come
+out deterministically, ascending in their vertex ids taken in the order of
+``roles``; the first match is ``next(iter_matches(d))`` and costs only the
+candidates before it.
 ``apply`` never mutates its input: it raises :class:`StaleMatchError` unless
 the match has this rule's name and roles and still holds, then returns a
 rewritten copy.
@@ -139,9 +139,6 @@ class RewriteRule:
 
     def iter_matches(self, d: Diagram) -> Iterator[Match]:
         return (m for m in self.candidates(d) if self.holds(d, m))
-
-    def find_matches(self, d: Diagram) -> list[Match]:
-        return list(self.iter_matches(d))
 
     def apply(self, d: Diagram, m: Match) -> Diagram:
         if m.rule != self.name or {k for k, _ in m.data} != set(self.roles):

@@ -6,11 +6,11 @@ figures, so each one is validated by applying every match found on a few
 hundred randomized diagrams (with the rule's left-hand side embedded) and
 comparing dense evaluations entry by entry, with no free scalar.  The
 embedding does not always leave a match: its extra legs may be wired back
-into the pattern itself.  Such samples, and those with more than ten
-interface wires, are counted as ``skipped``; an application whose diagram
-evaluates to within ``tol`` of zero cannot show a wrong factor and is
-counted as ``vacuous``.  A failure's repro is the sample's ``.zxg`` text,
-``scalar`` line included, so it parses back to the value that was checked.
+into the pattern itself.  Such samples, with no match, are counted as
+``skipped``; an application whose diagram evaluates to within ``tol`` of
+zero cannot show a wrong factor and is counted as ``vacuous``.  A failure's
+repro is the sample's ``.zxg`` text, ``scalar`` line included, so it parses
+back to the value that was checked.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class SoundnessReport:
     seed: int
     checks: int = 0
     vacuous: int = 0  # checks on a diagram that evaluates to within tol of zero
-    skipped: int = 0  # samples with no match or more than ten wires
+    skipped: int = 0  # samples with no match
     failures: list[tuple[str, str]] = field(default_factory=list)  # (summary, zxg)
 
     @property
@@ -217,8 +217,7 @@ def check_soundness(
     for _ in range(samples):
         d = random_diagram(rng, max_vertices=8, max_boundaries=4)
         embed_lhs(rule.name, rule.direction, d, rng)
-        too_wide = len(d.inputs) + len(d.outputs) > 10
-        matches = [] if too_wide else list(islice(rule.iter_matches(d), _MATCHES_PER_SAMPLE))
+        matches = list(islice(rule.iter_matches(d), _MATCHES_PER_SAMPLE))
         if not matches:
             report.skipped += 1
             continue

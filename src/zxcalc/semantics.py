@@ -99,15 +99,11 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
             f"interface has {m + n} wires, exceeding the cap of {max_qubits}"
         )
 
-    # the edges in edge-id order, each (low, high) once: H first legs and the
-    # factor order follow it
-    edges = [(e, v, w) for v, inc in d._inc.items() for e, w in inc.items() if e >= 0 and v <= w]
-    edges.sort()
     types = d.types
     parent = dict(zip(types, types))
     plain_leg_taken: set[int] = set()  # H boxes whose first leg was read
     h_edges = []
-    for _, a, b in edges:
+    for a, b in d.edges:  # in edge-id order: H first legs and the factor order follow it
         ta, tb = types[a], types[b]  # read each leg: through H (X, a second H leg) or plainly
         ha = a in plain_leg_taken if ta is _H else ta is _X
         if ta is _H:

@@ -1,4 +1,5 @@
 import hashlib
+import shlex
 from pathlib import Path
 
 import pytest
@@ -344,3 +345,26 @@ def test_cli_byte_determinism():
     fourth = run_cli_process("verify", "qkd-w3", "--rounds", "10000", "--seed", "7")
     assert third.returncode == fourth.returncode == 0
     assert third.stdout == fourth.stdout
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``zxcalc`` lines of README.md's ``sh`` blocks, without the
+    program name, comments and ``> file`` redirections."""
+    commands, in_sh = [], False
+    for line in (DIAGRAMS.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("zxcalc "):
+            words = shlex.split(line, comments=True)[1:]
+            if ">" in words:
+                del words[words.index(">") :]
+            commands.append(words)
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "diagrams").symlink_to(DIAGRAMS)
+    monkeypatch.chdir(tmp_path)  # --trace files land here
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

@@ -8,6 +8,7 @@ from zxcalc.rewrite import DERIVATION_NAMES, ReplayError, replay_derivation
 from zxcalc.rewrite.derivations import expected_final
 from zxcalc.rewrite.rules import HopfRule
 
+from cli_process import run_python_process
 from oracles import component, exactly_equal, proportional
 
 
@@ -98,7 +99,7 @@ def test_rule_a_matches_its_rule():
     # the replay derives exactly what the A rule does in one step
     start = _rule_a_start()
     rule = get_rule("A")
-    direct = rule.apply(start, rule.find_matches(start)[0])
+    direct = rule.apply(start, list(rule.iter_matches(start))[0])
     assert equal_up_to_scalar(evaluate(derived), evaluate(direct)).equal
     # and with the scalars the replay carries, the same value exactly
     *_, (_, _, replayed) = trace.replay()
@@ -155,6 +156,21 @@ def test_stale_script_step_is_named(monkeypatch):
 def test_unknown_name_raises():
     with pytest.raises(ReplayError):
         replay_derivation("nope")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import zxcalc.rewrite.derivations",
+        "import zxcalc.protocols; assert zxcalc.protocols.qkd_check_lemmas().passed",
+    ],
+    ids=["derivations_first", "protocols_first"],
+)
+def test_import_order(code):
+    """derivations imports protocols at module level, and protocols imports
+    derivations lazily: either may be imported first in a fresh process."""
+    proc = run_python_process("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 GHZ_PLUG0_GOLDEN = """\

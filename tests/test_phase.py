@@ -123,8 +123,17 @@ def test_other_argument_types_keep_their_results():
     for args, (num, den) in cases.items():
         p = Phase(*args)
         assert (p.num, p.den) == (num, den), args
-    # numpy ints keep their numpy types, as Fraction gives them
-    assert type(Phase(np.int64(3), np.int64(2)).num) is np.int64
+    # numpy ints become plain ints, so phase arithmetic cannot overflow
+    assert type(Phase(np.int64(3), np.int64(2)).num) is int
     for args in ((1.5,), (1, 2.0), ("1",), (np.True_,)):
         with pytest.raises(TypeError):
             Phase(*args)
+
+
+def test_numpy_int_phases_add_without_overflow():
+    half = Phase(np.int64(1), np.int64(2**40))
+    total = half + half
+    assert (total.num, total.den) == (1, 2**39)
+    assert type(total.num) is int and type(total.den) is int
+    mixed = Phase(np.int64(1), Fraction(2**40))
+    assert type(mixed.num) is int and mixed == half

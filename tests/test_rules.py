@@ -50,7 +50,7 @@ def preserved(rule, d, m):
 def test_s1_single_match_and_phase_addition():
     d, (u, v) = chain((Z, Phase(1, 2)), (Z, Phase(1, 2)))
     rule = get_rule("S1")
-    matches = rule.find_matches(d)
+    matches = list(rule.iter_matches(d))
     assert len(matches) == 1
     out = rule.apply(d, matches[0])
     (spider,) = [w for w in out.vertices() if out.types[w].is_spider()]
@@ -60,7 +60,7 @@ def test_s1_single_match_and_phase_addition():
 
 def test_s1_no_match_across_colours():
     d, _ = chain((Z, Phase(0)), (X, Phase(0)))
-    assert get_rule("S1").find_matches(d) == []
+    assert list(get_rule("S1").iter_matches(d)) == []
 
 
 def test_s1_parallel_edges_fuse_cleanly():
@@ -71,7 +71,7 @@ def test_s1_parallel_edges_fuse_cleanly():
     d.add_edge(u, v)
     d.add_output(u)
     rule = get_rule("S1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     assert out.num_edges() == 1  # just the boundary wire
     assert preserved(rule, d, m)
@@ -95,7 +95,7 @@ def test_s1_backward_enumeration_is_sound():
     rule = get_rule("S1", BACKWARD)
     for _ in range(40):
         d = random_diagram(rng, max_vertices=5, max_boundaries=3)
-        for m in rule.find_matches(d)[:4]:
+        for m in list(rule.iter_matches(d))[:4]:
             assert preserved(rule, d, m)
 
 
@@ -106,7 +106,7 @@ def test_s1_backward_enumeration_is_sound():
 def test_s2a_removes_identity_spider():
     d, ids = chain((Z, Phase(1, 4)), (X, Phase(0)), (Z, Phase(1, 4)))
     rule = get_rule("S2a")
-    matches = rule.find_matches(d)
+    matches = list(rule.iter_matches(d))
     assert [m["vertex"] for m in matches] == [ids[1]]
     out = rule.apply(d, matches[0])
     assert ids[1] not in out.types
@@ -115,7 +115,7 @@ def test_s2a_removes_identity_spider():
 
 def test_s2a_skips_phased_and_high_degree():
     d, _ = chain((Z, Phase(1, 2)),)
-    assert get_rule("S2a").find_matches(d) == []
+    assert list(get_rule("S2a").iter_matches(d)) == []
 
 
 def test_s2b_removes_self_loop():
@@ -123,7 +123,7 @@ def test_s2b_removes_self_loop():
     d_loop = d.copy()
     d_loop.add_edge(v, v)
     rule = get_rule("S2b")
-    m = rule.find_matches(d_loop)[0]
+    m = list(rule.iter_matches(d_loop))[0]
     out = rule.apply(d_loop, m)
     assert out.self_loops(v) == 0
     assert np.allclose(evaluate(out), evaluate(d_loop), atol=1e-12)
@@ -146,7 +146,7 @@ def _point_on_spider(point_ty, point_phase, spider_phase, legs=2):
 def test_b1_copies_through():
     d, p, s = _point_on_spider(X, Phase(0), Phase(0), legs=2)
     rule = get_rule("B1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     points = [v for v in out.vertices() if out.types[v].is_spider()]
     assert len(points) == 2
@@ -156,20 +156,20 @@ def test_b1_copies_through():
 
 def test_b1_requires_phase_free_pair():
     d, _, _ = _point_on_spider(X, Phase(0), Phase(1, 4))
-    assert get_rule("B1").find_matches(d) == []
+    assert list(get_rule("B1").iter_matches(d)) == []
     d, _, _ = _point_on_spider(X, Phase(1), Phase(0))
-    assert get_rule("B1").find_matches(d) == []  # that shape is K1's
+    assert list(get_rule("B1").iter_matches(d)) == []  # that shape is K1's
 
 
 def test_b1_no_arity_one_spiders_no_match():
     d, _ = chain((Z, Phase(0)), (X, Phase(0)), (Z, Phase(0)))
-    assert get_rule("B1").find_matches(d) == []
+    assert list(get_rule("B1").iter_matches(d)) == []
 
 
 def test_k1_copies_pi():
     d, p, s = _point_on_spider(Z, Phase(1), Phase(0), legs=3)
     rule = get_rule("K1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     points = [v for v in out.vertices() if out.types[v].is_spider()]
     assert len(points) == 3
@@ -179,9 +179,9 @@ def test_k1_copies_pi():
 
 def test_rule_a_absorbs_through_phased_spider():
     d, p, s = _point_on_spider(X, Phase(1), Phase(5, 4), legs=2)
-    assert get_rule("K1").find_matches(d) == []  # K1 insists on phase 0
+    assert list(get_rule("K1").iter_matches(d)) == []  # K1 insists on phase 0
     rule = get_rule("A")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     assert preserved(rule, d, m)
     out = rule.apply(d, m)
     assert proportional(evaluate(out), evaluate(d))
@@ -196,7 +196,7 @@ def test_k2_commutes_pi_and_negates_phase():
     # X(pi) then Z(a) on a wire; spec example at a = pi/3
     d, (x, s) = chain((X, Phase(1)), (Z, Phase(1, 3)))
     rule = get_rule("K2")
-    matches = [m for m in rule.find_matches(d) if m["spider"] == s]
+    matches = [m for m in rule.iter_matches(d) if m["spider"] == s]
     assert len(matches) == 1
     out = rule.apply(d, matches[0])
     assert out.phases[s] == Phase(-Phase(1, 3).fraction)
@@ -216,7 +216,7 @@ def test_k2_inserts_pi_on_remaining_legs():
     d.add_output(s)
     d.add_output(s)
     rule = get_rule("K2")
-    m = [m for m in rule.find_matches(d) if m["spider"] == s][0]
+    m = [m for m in rule.iter_matches(d) if m["spider"] == s][0]
     out = rule.apply(d, m)
     pis = [v for v in out.vertices() if out.types[v] is X and out.phases.get(v) == Phase(1)]
     assert len(pis) == 2
@@ -225,7 +225,7 @@ def test_k2_inserts_pi_on_remaining_legs():
 
 def test_k2_rejects_non_pi():
     d, _ = chain((X, Phase(1, 2)), (Z, Phase(1, 3)))
-    assert get_rule("K2").find_matches(d) == []
+    assert list(get_rule("K2").iter_matches(d)) == []
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_c_forward_adds_hadamards():
     for _ in range(3):
         d.add_output(v)
     rule = get_rule("C")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     hs = [w for w in out.vertices() if out.types[w] is VertexType.H]
     assert len(hs) == 3
@@ -250,8 +250,8 @@ def test_c_round_trip():
     d, (v,) = chain((X, Phase(5, 4)),)
     fwd = get_rule("C")
     bwd = get_rule("C", BACKWARD)
-    once = fwd.apply(d, fwd.find_matches(d)[0])
-    m = [m for m in bwd.find_matches(once) if m["vertex"] == v]
+    once = fwd.apply(d, list(fwd.iter_matches(d))[0])
+    m = [m for m in bwd.iter_matches(once) if m["vertex"] == v]
     assert len(m) == 1
     back = bwd.apply(once, m[0])
     assert isomorphic(back, d)
@@ -264,7 +264,7 @@ def test_c_backward_requires_h_on_every_leg():
     d.add_edge(v, h)
     d.add_output(h)
     d.add_output(v)  # second leg has no H
-    assert [m for m in get_rule("C", BACKWARD).find_matches(d) if m["vertex"] == v] == []
+    assert [m for m in get_rule("C", BACKWARD).iter_matches(d) if m["vertex"] == v] == []
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +286,7 @@ def _bialgebra_pair():
 def test_b2_forward_builds_square():
     d, z, x = _bialgebra_pair()
     rule = get_rule("B2")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     spiders = [v for v in out.vertices() if out.types[v].is_spider()]
     assert len(spiders) == 4
@@ -298,8 +298,8 @@ def test_b2_round_trip():
     d, _, _ = _bialgebra_pair()
     fwd = get_rule("B2")
     bwd = get_rule("B2", BACKWARD)
-    square = fwd.apply(d, fwd.find_matches(d)[0])
-    m = bwd.find_matches(square)
+    square = fwd.apply(d, list(fwd.iter_matches(d))[0])
+    m = list(bwd.iter_matches(square))
     assert len(m) == 1
     pair = bwd.apply(square, m[0])
     assert isomorphic(pair, d)
@@ -317,7 +317,7 @@ def test_d1_deletes_scalar_pair():
     spectator = d.add_vertex(Z, Phase(0))
     d.add_output(spectator)
     rule = get_rule("D1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     assert out.num_vertices() == 2  # spectator and its boundary
     assert preserved(rule, d, m)
@@ -329,7 +329,7 @@ def test_d1_multiplies_sqrt2_into_the_scalar():
     q = d.add_vertex(X, Phase(1, 2))
     d.add_edge(p, q)
     rule = get_rule("D1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     out = rule.apply(d, m)
     assert out.num_vertices() == 0  # the pair is gone; its sqrt(2) is in the scalar
     assert out.scalar == Scalar(1)
@@ -341,7 +341,7 @@ def test_d1_never_deletes_possible_zero():
     p = d.add_vertex(Z, Phase(1, 2))
     q = d.add_vertex(X, Phase(3, 2))
     d.add_edge(p, q)
-    assert get_rule("D1").find_matches(d) == []
+    assert list(get_rule("D1").iter_matches(d)) == []
 
 
 def test_d2_circle_and_diamond():
@@ -349,7 +349,7 @@ def test_d2_circle_and_diamond():
     d = parse_zxg("node c Z 0\nedge c c\nnode d D\n")
     assert d.scalar == Scalar(1)
     rule = get_rule("D2")
-    (m,) = rule.find_matches(d)  # only the circle
+    (m,) = list(rule.iter_matches(d))  # only the circle
     out = rule.apply(d, m)
     assert out.num_vertices() == 0
     # the circle Z(0) is 1 + e^0 = 2, multiplied into the diamond's sqrt(2),
@@ -362,7 +362,7 @@ def test_d2_circle_and_diamond():
 def test_d2_keeps_zero_scalar():
     d = Diagram()
     d.add_vertex(Z, Phase(1))  # 1 + e^{i pi} = 0; deleting it would be unsound
-    assert get_rule("D2").find_matches(d) == []
+    assert list(get_rule("D2").iter_matches(d)) == []
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +384,7 @@ def _supplementarity(center_ty, center_phase):
 def test_e_collapses_pi_pair(center_ty, center_phase):
     d, t = _supplementarity(center_ty, center_phase)
     rule = get_rule("E")
-    matches = rule.find_matches(d)
+    matches = list(rule.iter_matches(d))
     assert len(matches) == 1
     out = rule.apply(d, matches[0])
     (point,) = [v for v in out.vertices() if out.types[v].is_spider()]
@@ -400,7 +400,7 @@ def test_e_rejects_wrong_phases():
         p = d.add_vertex(Z, Phase(1))
         d.add_edge(t, p)
     d.add_output(t)
-    assert get_rule("E").find_matches(d) == []
+    assert list(get_rule("E").iter_matches(d)) == []
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +416,7 @@ def test_hopf_lemma_shape():
     d.add_input(z)
     d.add_output(x)
     rule = get_rule("HOPF")
-    matches = rule.find_matches(d)
+    matches = list(rule.iter_matches(d))
     assert len(matches) == 1
     out = rule.apply(d, matches[0])
     assert out.edge_count(z, x) == 0
@@ -429,10 +429,10 @@ def test_hopf_needs_exactly_two_edges():
     z = d.add_vertex(Z, Phase(0))
     x = d.add_vertex(X, Phase(0))
     d.add_edge(z, x)
-    assert get_rule("HOPF").find_matches(d) == []
+    assert list(get_rule("HOPF").iter_matches(d)) == []
     d.add_edge(z, x)
     d.add_edge(z, x)
-    assert get_rule("HOPF").find_matches(d) == []
+    assert list(get_rule("HOPF").iter_matches(d)) == []
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +540,7 @@ def test_apply_multiplies_in_the_exact_scalar(name, direction):
     build, factor = SCALAR_CASES[name, direction]
     d = build()
     rule = get_rule(name, direction)
-    out = rule.apply(d, rule.find_matches(d)[0])
+    out = rule.apply(d, list(rule.iter_matches(d))[0])
     assert out.scalar == factor
     before = evaluate(d)
     assert np.abs(before).max() > 0.1  # not vacuous: a wrong factor shows
@@ -557,8 +557,8 @@ def test_deterministic_enumeration():
         d = random_diagram(rng)
         for name, direction in PAIRS:
             rule = get_rule(name, direction)
-            once = rule.find_matches(d)
-            again = rule.find_matches(d)
+            once = list(rule.iter_matches(d))
+            again = list(rule.iter_matches(d))
             assert once == again
             assert len(set(once)) == len(once)
 
@@ -569,14 +569,14 @@ def test_apply_leaves_input_untouched():
 
     before = serialize_zxg(d)
     rule = get_rule("S1")
-    rule.apply(d, rule.find_matches(d)[0])
+    rule.apply(d, list(rule.iter_matches(d))[0])
     assert serialize_zxg(d) == before
 
 
 def test_stale_match_detected():
     d, (u, v) = chain((Z, Phase(0)), (Z, Phase(0)))
     rule = get_rule("S1")
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     changed = rule.apply(d, m)
     with pytest.raises(StaleMatchError):
         rule.apply(changed, m)
@@ -589,7 +589,7 @@ def test_locality_disjoint_component_untouched():
     spectator = ghz_state()
     combined = d.tensor(spectator)
     rule = get_rule("B1")
-    m = rule.find_matches(combined)[0]
+    m = list(rule.iter_matches(combined))[0]
     out = rule.apply(combined, m)
     # the spectator's vertices, phases and edges are bit-identical
     spec_ids = [v for v in combined.vertices() if v >= d._next_id]
@@ -601,7 +601,7 @@ def test_locality_disjoint_component_untouched():
 
 
 # sha256 of "\n".join(repr([m.data for m in matches])) over every
-# find_matches call below; it pins the match sets and their order
+# match list below; it pins the match sets and their order
 MATCH_DIGEST = "2ea8bb7df03f28dbcd34dfba8dbdeeef910ed48b9fba822eb55fd5d8cf30f1a9"
 
 
@@ -618,7 +618,7 @@ def test_match_lists_pinned():
         ladder = ladder.compose(cnot())
     diagrams.append(ladder)
     lines = [
-        repr([m.data for m in get_rule(name, direction).find_matches(d)])
+        repr([m.data for m in get_rule(name, direction).iter_matches(d)])
         for d in diagrams
         for name, direction in PAIRS
     ]
@@ -634,7 +634,7 @@ def test_match_for_other_direction_is_stale(name, source):
     d = random_diagram(rng, max_vertices=4)
     embed_lhs(name, source, d, rng)
     rule = get_rule(name, source)
-    m = rule.find_matches(d)[0]
+    m = list(rule.iter_matches(d))[0]
     for diagram in (d, rule.apply(d, m)):
         with pytest.raises(StaleMatchError):
             get_rule(name, target).apply(diagram, m)
@@ -645,7 +645,7 @@ def test_match_for_other_direction_is_stale(name, source):
     [p for p in PAIRS if p not in (("S1", BACKWARD), ("C", BACKWARD))],
 )
 def test_candidates_never_miss_a_match(name, direction):
-    """find_matches equals every vertex assignment to the roles that holds."""
+    """iter_matches yields every vertex assignment to the roles that holds."""
     rng = random.Random(11)
     found = 0
     for _ in range(6):
@@ -657,7 +657,7 @@ def test_candidates_never_miss_a_match(name, direction):
             m = Match(rule.name, tuple(sorted(zip(rule.roles, ids))))
             if rule.holds(d, m):
                 brute.add(m)
-        matches = rule.find_matches(d)
+        matches = list(rule.iter_matches(d))
         assert brute == set(matches)
         found += len(matches)
     assert found > 0

@@ -212,7 +212,7 @@ class _SnapshotTrace:
 
 def _all_matches_simplify(d, strategy):
     """The simplify loop written with full match lists: every step applies
-    ``find_matches(d)[0]`` of the first rule, in priority order, that has one."""
+    ``list(rule.iter_matches(d))[0]`` of the first rule, in priority order, that has one."""
     rules = [(name, get_rule(name)) for name in _SAFE_RULES]
     if strategy == "full":
         rules += [(name, get_rule(name, direction)) for name, direction in _FULL_EXTRA]
@@ -220,7 +220,7 @@ def _all_matches_simplify(d, strategy):
     trace.record("start", d)
     while len(trace.snapshots) <= 1000:
         for name, rule in rules:
-            matches = rule.find_matches(d)
+            matches = list(rule.iter_matches(d))
             if name == "B1" and strategy == "safe":
                 matches = [m for m in matches if _safe_b1_filter(d, m)]
             if matches:

@@ -12,6 +12,7 @@ from zxcalc.rewrite import (
     random_diagram,
 )
 from zxcalc.rewrite.rules import HopfRule
+from zxcalc.rewrite.soundness import embed_lhs
 
 
 def test_random_diagram_valid_and_bounded():
@@ -102,3 +103,15 @@ def test_sampler_random_stream_pinned():
         for name, direction in SOUNDNESS_PAIRS
     )
     assert hashlib.sha256(text.encode()).hexdigest() == SOUNDNESS_RENDERS_DIGEST
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_samples_stay_within_eight_wires(seed):
+    """check_soundness draws each sample from random_diagram and embed_lhs
+    alone; their pins and embedded legs stay far below evaluate's cap."""
+    for name, direction in SOUNDNESS_PAIRS:
+        rng = random.Random(seed)
+        for _ in range(200):
+            d = random_diagram(rng, max_vertices=8, max_boundaries=4)
+            embed_lhs(name, direction, d, rng)
+            assert len(d.inputs) + len(d.outputs) <= 8, (name, direction, seed)
