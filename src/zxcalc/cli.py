@@ -263,8 +263,8 @@ def main(argv=None) -> int:
         if getattr(args, "max_qubits", 1) < 1 or getattr(args, "steps", 1) < 1:
             raise ValueError("--max-qubits and --steps must be positive")
         return _COMMANDS[args.command](args)
-    except (DiagramError, ResourceLimitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DiagramError, ResourceLimitError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE
 
 

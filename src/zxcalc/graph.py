@@ -78,8 +78,7 @@ class VertexType(Enum):
         raise ValueError(f"{self} has no opposite colour")
 
 
-# Maximum degree per vertex type; None means unbounded.
-_DEGREE_CAP = {VertexType.H: 2, VertexType.BOUNDARY: 1}
+_H, _BOUNDARY = VertexType.H, VertexType.BOUNDARY  # Enum hashes and class reads are slow
 
 # the incidences of a vertex the diagram does not have
 _NO_EDGES: MappingProxyType = MappingProxyType({})
@@ -132,8 +131,9 @@ class Diagram:
             if v not in self.types:
                 raise InvariantError(f"unknown vertex id {v}")
         gain = 2 if a == b else 1  # a self-loop adds 2 to its vertex
-        for v in ends:
-            cap = _DEGREE_CAP.get(self.types[v])
+        for v in ends:  # the degree caps: H 2, boundary 1, spiders none
+            ty = self.types[v]
+            cap = 2 if ty is _H else 1 if ty is _BOUNDARY else None
             if cap is not None and len(self._inc[v]) + gain > cap:
                 raise InvariantError(
                     f"vertex {v} ({self.types[v].value}) would exceed degree cap {cap}"

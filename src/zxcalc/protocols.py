@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import Diagram, VertexType
 from .phase import Phase
-from .semantics import _born_from_vector, equal_up_to_scalar, evaluate
+from .semantics import _born_from_vector, equal_up_to_scalar, evaluate, evaluate_phases
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -174,26 +174,37 @@ def ghz_class_state(k: int, table: str = "standard") -> Diagram:
     2 and 3 of the GHZ state."""
     if not 0 <= k <= 7:
         raise ValueError("GHZ class index must be in 0..7")
-    return _encoded(UNITARY_TABLES[table][k])
-
-
-def _encoded(paulis: tuple[str, ...]) -> Diagram:
-    """The GHZ state on 1 + len(paulis) qubits, the Paulis on qubits 2.. ."""
     layer = wire()
-    for name in paulis:
+    for name in UNITARY_TABLES[table][k]:
         layer = layer.tensor(pauli(name))
-    return ghz_state(1 + len(paulis)).compose(layer)
+    return ghz_state(3).compose(layer)
 
 
-def _basis_readout(state: Diagram, tol: float) -> Optional[int]:
-    """The index of the computational basis state ``state`` evaluates to, or
-    None when some other entry exceeds ``tol`` relative to the largest."""
-    vec = evaluate(state).reshape(-1)
-    idx = int(np.argmax(np.abs(vec)))
-    rest = np.delete(np.abs(vec), idx)
-    if np.max(rest) > tol * abs(vec[idx]):
-        return None
-    return idx
+_O, _PI = Phase.zero(), Phase.pi()  # the X-then-Z slot phases of each Pauli; iY = Z(pi) X(pi)
+_SLOTS = {"I": (_O, _O), "X": (_PI, _O), "Z": (_O, _PI), "iY": (_PI, _PI)}
+
+
+def _sdc_readouts(layers: list[tuple[str, ...]], tol: float) -> list[Optional[int]]:
+    """For each layer of Paulis on qubits 2..n of the n-qubit GHZ state, the
+    basis state that ``ghz_measurement(n)`` reads, or None when some other
+    entry exceeds ``tol`` relative to the largest.  The layers are phase variants
+    of one template, with an X-then-Z spider slot on each of wires 2..n."""
+    d = Diagram()
+    d.add_output(d.add_vertex(Z))  # the GHZ spider, vertex 0
+    slots = [(d.add_vertex(X), d.add_vertex(Z)) for _ in layers[0]]
+    for x, z in slots:
+        d.add_edge(0, x)
+        d.add_edge(x, z)
+        d.add_output(z)
+    d = d.compose(ghz_measurement(len(d.outputs)))  # keeps the slot ids
+    variants = [
+        {v: p for slot, name in zip(slots, layer) for v, p in zip(slot, _SLOTS[name])}
+        for layer in layers
+    ]
+    mags = np.abs(evaluate_phases(d, variants).reshape(len(layers), -1))
+    at = range(len(layers)), mags.argmax(axis=1)
+    top, mags[at] = mags[at], 0
+    return [int(i) if ok else None for i, ok in zip(at[1], mags.max(axis=1) <= tol * top)]
 
 
 def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int, int, int]:
@@ -203,11 +214,11 @@ def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int,
     entries below ``tol`` relative); anything else signals a circuit
     transcription error and raises ValueError.
     """
-    idx = _basis_readout(ghz_class_state(k, table).compose(ghz_measurement(3)), tol)
+    if not 0 <= k <= 7:
+        raise ValueError("GHZ class index must be in 0..7")
+    (idx,) = _sdc_readouts([UNITARY_TABLES[table][k]], tol)
     if idx is None:
-        raise ValueError(
-            f"GHZ measurement of class {k} ({table}) is not a basis state"
-        )
+        raise ValueError(f"GHZ measurement of class {k} ({table}) is not a basis state")
     return ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
 
 
@@ -285,42 +296,35 @@ class ProtocolReport:
 
 
 def sdc_verify_all(tol: float = 1e-9) -> ProtocolReport:
-    """Decode all eight class states under both unitary tables: 16 cases."""
+    """Decode all eight class states under both unitary tables: 16 cases,
+    read as phase variants of one template diagram (``_sdc_readouts``)."""
     report = ProtocolReport("sdc-ghz")
-    for table in ("standard", "alternative"):
-        for k in range(8):
-            expected = ((k >> 2) & 1, (k >> 1) & 1, k & 1)
-            try:
-                actual = sdc_decode(k, table, tol)
-                ok = actual == expected
-            except ValueError as exc:
-                actual = str(exc)
-                ok = False
-            report.add(f"{table}/{k}", expected, actual, ok)
+    cases = [(table, k) for table in ("standard", "alternative") for k in range(8)]
+    readouts = _sdc_readouts([UNITARY_TABLES[table][k] for table, k in cases], tol)
+    for (table, k), idx in zip(cases, readouts):
+        expected = ((k >> 2) & 1, (k >> 1) & 1, k & 1)
+        actual = "superposition" if idx is None else ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+        report.add(f"{table}/{k}", expected, actual, actual == expected)
     return report
 
 
-def _pauli_layers(n: int) -> Iterable[tuple[str, ...]]:
+def _pauli_layers(n: int) -> list[tuple[str, ...]]:
     """All encoding layers for the n-qubit protocol: one of the four Paulis
     on the last qubit, I or X on each of qubits 2..n-1."""
-    import itertools
-
-    middle = itertools.product(("I", "X"), repeat=n - 2)
-    for mid in middle:
-        for last in ("I", "X", "iY", "Z"):
-            yield tuple(mid) + (last,)
+    middles = product(("I", "X"), repeat=n - 2)
+    return [mid + (last,) for mid in middles for last in ("I", "X", "iY", "Z")]
 
 
 def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
     """Superdense coding on the n-qubit GHZ state: all 2^n encodings must
-    measure to 2^n distinct computational basis states."""
+    measure to 2^n distinct computational basis states, read as phase
+    variants of one template diagram (``_sdc_readouts``)."""
     if not 3 <= n <= 6:
         raise ValueError("n must be in 3..6")
     report = ProtocolReport(f"sdc-ghz-n{n}")
-    meas = ghz_measurement(n)
+    layers = _pauli_layers(n)
     seen: dict[int, tuple[str, ...]] = {}
-    for layer_names in _pauli_layers(n):
-        idx = _basis_readout(_encoded(layer_names).compose(meas), tol)
+    for layer_names, idx in zip(layers, _sdc_readouts(layers, tol)):
         label = "(" + ",".join(layer_names) + ")"
         if idx is None:
             report.add(label, "basis state", "superposition", False)
@@ -395,15 +399,16 @@ _ACCEPTED_PATTERNS = {("z", "x", "x"), ("x", "z", "x"), ("x", "x", "z")}
 
 def _round_table(
     w_vec: np.ndarray, bases: tuple[str, str, str]
-) -> tuple[list[float], list[QkdRound]]:
-    """For a basis triple, the running Born sums of the eight sign patterns
-    (in pattern order, added one at a time) and each pattern's round record."""
+) -> tuple[list[float], list[tuple[QkdRound, tuple[int, ...]]]]:
+    """For a basis triple, the running Born sums of the eight sign patterns (in
+    order, added one at a time), and each one's round record and non-deciders."""
     sums, records, acc = [], [], 0.0
     for bits in range(8):
         signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
         acc += _born_from_vector(w_vec, [bases[k] + signs[k] for k in range(3)])
         sums.append(acc)
-        records.append(_round_record(bases, signs))
+        record = _round_record(bases, signs)
+        records.append((record, tuple(k for k in range(3) if k != record.decider)))
     return sums, records
 
 
@@ -450,12 +455,12 @@ def qkd_simulate(
     key_bits: dict[tuple[int, int], list[int]] = {}
     log: list[QkdRound] = []
 
+    choice, draw, log_round = rng.choice, rng.random, log.append
     for r in range(rounds):
-        sums, records = tables[rng.choice("zx"), rng.choice("zx"), rng.choice("zx")]
-        u = rng.random()
-        # the first pattern whose running sum passes u, else the last
-        record = records[min(bisect_right(sums, u), 7)]
-        log.append(record)  # records are frozen, so rounds share them
+        sums, records = tables[choice("zx"), choice("zx"), choice("zx")]
+        # the first pattern whose running sum passes the draw, else the last
+        record, others = records[min(bisect_right(sums, draw()), 7)]
+        log_round(record)  # records are frozen, so rounds share them
         if record.decider is None:
             continue
         n_basis_accepted += 1
@@ -468,7 +473,6 @@ def qkd_simulate(
         if r in sacrificial:
             n_sacrificed += 1
             continue
-        others = tuple(k for k in range(3) if k != record.decider)
         key_bits.setdefault(others, []).append(record.shared_bit)
 
     report = ProtocolReport("qkd-w3-mc", seed=seed)

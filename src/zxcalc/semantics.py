@@ -23,14 +23,16 @@ summed out one at a time in min-degree order, ties to the lowest id, each by
 one ``einsum`` whose width is checked against the cap before it runs.  The
 result of :func:`evaluate` is a ``2**m x 2**n`` matrix in big-endian wire
 order, times the diagram's ``scalar``: the first output/input is the most
-significant bit of the row/column index.
+significant bit of the row/column index.  Phase variants of one graph share
+all but their weights, so :func:`evaluate_phases` sums them in one pass, with
+a batch axis on each weight that varies.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +52,7 @@ _PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
 _QUARTER_TURNS = {(1, 2): 1j, (1, 1): -1, (3, 2): -1j}  # e^{ia} by (num, den), exactly
 _H, _X = VertexType.H, VertexType.X
 _OPERANDS = 16  # per einsum call, below numpy's operand limit
+_BATCH = float("inf")  # the variable that indexes phase variants; sorts last
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -78,7 +81,6 @@ def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     return _read_only(t)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
 def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Sum a diagram over its spider variables to its ``2**m x 2**n`` matrix.
 
@@ -92,11 +94,21 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     fresh array; :class:`ResourceLimitError` is raised when it, a phase or
     the scale is out of the float range.
     """
+    return evaluate_phases(d, ({},), max_qubits=max_qubits)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
+def evaluate_phases(
+    d: Diagram, variants: Sequence[dict], *, max_qubits: int = DEFAULT_MAX_QUBITS
+) -> np.ndarray:
+    """:func:`evaluate` with each variant's {spider: phase} set, as a
+    ``(B, 2**m, 2**n)`` array; the batch counts ``ceil(log2 B)`` wires to the cap."""
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
-    if m + n > max_qubits:
+    batch_bits = (len(variants) - 1).bit_length()
+    if m + n + batch_bits > max_qubits:
         raise ResourceLimitError(
-            f"interface has {m + n} wires, exceeding the cap of {max_qubits}"
+            f"interface has {m + n + batch_bits} wires, exceeding the cap of {max_qubits}"
         )
 
     types = d.types
@@ -122,14 +134,14 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     for v in sorted(parent):  # flatten (parents have lower ids): parent[v] is v's class
         parent[v] = parent[parent[v]]
 
+    overrides = set().union(*variants)
     weight = {c: [1, 1] for c in sorted(set(parent.values()))}  # (w(0), w(1))
     for v, phase in d.phases.items():
-        if phase.num:
-            try:
-                turn = _QUARTER_TURNS.get((phase.num, phase.den))
-                weight[parent[v]][1] *= turn or cmath.exp(1j * phase.radians)
-            except OverflowError:  # its numerator or denominator is past the float range
-                raise ResourceLimitError("a phase is out of floating-point range") from None
+        if phase.num and v not in overrides:
+            weight[parent[v]][1] *= _unit(phase)
+    for v in sorted(overrides):  # e^{i alpha} in each variant, or once if they agree
+        u = np.array([_unit(variant.get(v, d.phases[v])) for variant in variants])
+        weight[parent[v]][1] *= u if (u != u[0]).any() else u[0]
     adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
     for a, b in h_edges:
         u, v = parent[a], parent[b]
@@ -167,6 +179,11 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     # factors keyed by their sorted variables; holding[c]: the keys with c
     factors: dict[tuple, np.ndarray] = {}
     holding: dict[int, set[tuple]] = {c: set() for c in weight}
+    holding[_BATCH] = set()  # a weight that varies ends with the batch axis, never summed
+    for c in [c for c, w in weight.items() if type(w[1]) is np.ndarray] if overrides else ():
+        factors[c, _BATCH] = np.stack(np.broadcast_arrays(*weight.pop(c)))
+        holding[c].add((c, _BATCH))
+        holding[_BATCH].add((c, _BATCH))
     for c, w in weight.items():
         if w != [1, 1]:
             factors[c,] = np.array(w, dtype=complex)
@@ -183,13 +200,15 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
         for u in scope:
             adj[u].discard(c)
             adj[u].update(w for w in scope if w != u)
+        if overrides and not holding[c].isdisjoint(holding[_BATCH]):
+            scope.append(_BATCH)
         args = []
         for key in holding.pop(c):
             args += [factors.pop(key), key]
             for u in key:
                 if u != c:
                     holding[u].discard(key)
-        t = _einsum(args, scope, max_qubits)
+        t = _einsum(args, scope, max_qubits, batch_bits)
         key = tuple(scope)
         if not key:
             scale *= complex(t)
@@ -201,38 +220,55 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
                 holding[u].add(key)
 
     opens = sorted(set(pins))
-    out = np.full((2,) * len(opens), scale, dtype=complex)
-    for key, t in factors.items():
-        out *= t.reshape([2 if u in key else 1 for u in opens])
+    if len(variants) > 1:  # the batch axis trails; factors without it broadcast along it
+        out = np.full((2,) * len(opens) + (len(variants),), scale, dtype=complex)
+        for key, t in factors.items():
+            shape = [2 if u in key else 1 for u in opens]
+            out *= t.reshape(shape + [-1 if key[-1] == _BATCH else 1])
+        pins, opens = [_BATCH, *pins], [*opens, _BATCH]  # the batch axis leads the result
+    else:
+        out = np.full((2,) * len(opens), scale, dtype=complex)
+        for key, t in factors.items():
+            out *= t.reshape([2 if u in key else 1 for u in opens])
     if len(opens) == len(pins):  # no two pins share a class
         out = out.transpose([opens.index(c) for c in pins])
     else:
         # write out into the diagonal of the pins that share a class
-        result = np.zeros((2,) * len(pins), dtype=complex)
+        lead = (len(variants),) if pins[0] == _BATCH else ()  # the batch axis
+        result = np.zeros(lead + (2,) * (len(pins) - len(lead)), dtype=complex)
         np.einsum(result, [opens.index(c) for c in pins], range(len(opens)))[...] = out
         out = result
     if not np.isfinite(out).all():
         raise ResourceLimitError("the value is out of floating-point range")
-    return out.reshape(2**m, 2**n)
+    return out.reshape(len(variants), 2**m, 2**n)
 
 
-def _einsum(args: list, out: list, max_qubits: int) -> np.ndarray:
+def _einsum(args: list, out: list, max_qubits: int, batch_bits: int) -> np.ndarray:
     """``einsum`` of ``[tensor, variables, ...]`` onto the variables ``out``,
-    refused before it runs when ``out`` is wider than ``max_qubits``.  More
-    than ``_OPERANDS`` tensors are multiplied in batches first, each checked
-    the same way.  The variable lists in ``args`` are renumbered in place."""
-    if len(out) > max_qubits:
+    refused before it runs when ``out`` (the batch ``batch_bits`` wide) is
+    wider than ``max_qubits``.  More than ``_OPERANDS`` tensors go in groups
+    first, each checked the same way.  ``args``' variables are renumbered."""
+    width = len(out) if not out or out[-1] != _BATCH else len(out) - 1 + batch_bits
+    if width > max_qubits:
         raise ResourceLimitError(
-            f"intermediate tensor with {len(out)} wires exceeds the cap of {max_qubits}"
+            f"intermediate tensor with {width} wires exceeds the cap of {max_qubits}"
         )
     while len(args) > 2 * _OPERANDS:
         head, args = args[: 2 * _OPERANDS], args[2 * _OPERANDS :]
         keep = sorted(set().union(*head[1::2]))
-        args += [_einsum(head, keep, max_qubits), keep]
+        args += [_einsum(head, keep, max_qubits, batch_bits), keep]
     index: dict[int, int] = {}
     for k in range(1, len(args), 2):
         args[k] = [index.setdefault(u, len(index)) for u in args[k]]
     return np.einsum(*args, [index[u] for u in out])
+
+
+def _unit(phase) -> complex:
+    """e^{i phase}, exact at the quarter turns."""
+    try:
+        return _QUARTER_TURNS.get((phase.num, phase.den)) or cmath.exp(1j * phase.radians)
+    except OverflowError:  # its numerator or denominator is past the float range
+        raise ResourceLimitError("a phase is out of floating-point range") from None
 
 
 @dataclass(frozen=True)

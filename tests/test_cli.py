@@ -314,6 +314,16 @@ def test_value_out_of_float_range_exit_2(tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
 
 
+def test_memory_error_exit_2(cnot_file, capsys, monkeypatch):
+    from zxcalc import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", exhausted)
+    assert run_cli(capsys, "eval", cnot_file) == (2, "", "error: out of memory\n")
+
+
 def test_huge_phase_token_exit_2_without_traceback(tmp_path):
     # a reduced phase (2*10**400 - 1)/10**400: exact, but no float holds its parts
     path = tmp_path / "hostile.zxg"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zxcalc.semantics import born_probability, equal_up_to_scalar, evaluate
+from zxcalc.semantics import born_probability, equal_up_to_scalar, evaluate, evaluate_phases
 from zxcalc.protocols import (
     UNITARY_TABLES,
     cnot,
@@ -19,6 +19,7 @@ from zxcalc.protocols import (
     sdc_n_ghz_verify,
     sdc_verify_all,
     w_state,
+    wire,
 )
 from zxcalc.graph import Diagram, VertexType
 
@@ -191,6 +192,71 @@ def test_sdc_n_ghz_range_check():
         sdc_n_ghz_verify(2)
     with pytest.raises(ValueError):
         sdc_n_ghz_verify(7)
+
+
+# sha256 of sdc_verify_all().render() and of sdc_n_ghz_verify(n).render(),
+# taken when each encoding was composed onto the GHZ state and evaluated alone
+SDC_ALL_DIGEST = "9ed0ee088d1557a8b4b55b569b8a4ca2dfd695fdafd82c7b5bb9fd1e23ccef8e"
+SDC_N_DIGESTS = {
+    3: "a6b143cfc848d1254fd3b63aacbcbf41a41b07106269ce361c3748207424413b",
+    4: "24b7fed3a24f5bdb8c8d6716e4b11ff821608b44c08557cf506768c67e96c749",
+    5: "ea91008dd485654ccba864eb79e3269347c0308f5462fc23718d27da59714ddb",
+    6: "377896dfdca2c83ad2c229605fb202299a7d74d03aab586537f70baba589885d",
+}
+
+
+def test_sdc_reports_pinned():
+    text = sdc_verify_all().render()
+    assert hashlib.sha256(text.encode()).hexdigest() == SDC_ALL_DIGEST
+    for n, digest in SDC_N_DIGESTS.items():
+        assert hashlib.sha256(sdc_n_ghz_verify(n).render().encode()).hexdigest() == digest
+
+
+def _composed_encoding(layer: tuple[str, ...]) -> Diagram:
+    """An encoding built and measured on its own: the Pauli wires composed
+    onto the GHZ state, then the GHZ measurement."""
+    paulis = wire()
+    for name in layer:
+        paulis = paulis.tensor(pauli(name))
+    n = 1 + len(layer)
+    return ghz_state(n).compose(paulis).compose(ghz_measurement(n))
+
+
+def _composed_readout(d: Diagram, tol: float = 1e-9):
+    """The basis-state readout of one evaluated diagram, as each encoding was
+    read before they shared a template."""
+    vec = evaluate(d).reshape(-1)
+    idx = int(np.argmax(np.abs(vec)))
+    rest = np.delete(np.abs(vec), idx)
+    if np.max(rest) > tol * abs(vec[idx]):
+        return None
+    return idx
+
+
+def test_sdc_template_matches_composed_encodings(monkeypatch):
+    """Every layer of sdc_n_ghz_verify(3..6) and every table case of
+    sdc_verify_all reads, and evaluates, on the shared template as its own
+    composed diagram does."""
+    from zxcalc import protocols
+
+    batches = []
+
+    def recording_evaluate_phases(d, variants, **kwargs):
+        batches.append(evaluate_phases(d, variants, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(protocols, "evaluate_phases", recording_evaluate_phases)
+    cases = [protocols._pauli_layers(n) for n in range(3, 7)]
+    cases.append([pair for table in ("standard", "alternative") for pair in UNITARY_TABLES[table]])
+    for layers in cases:
+        readouts = protocols._sdc_readouts(layers, 1e-9)
+        rows = batches.pop()
+        assert len(rows) == len(readouts) == len(layers)
+        for layer, row, idx in zip(layers, rows, readouts):
+            composed = _composed_encoding(layer)
+            assert idx is not None and idx == _composed_readout(composed), layer
+            ref = evaluate(composed)
+            assert np.max(np.abs(row - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), layer
 
 
 # ----------------------------------------------------------------------
