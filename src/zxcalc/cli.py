@@ -264,7 +264,8 @@ def main(argv=None) -> int:
             raise ValueError("--max-qubits and --steps must be positive")
         return _COMMANDS[args.command](args)
     except (DiagramError, ResourceLimitError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        bare = isinstance(exc, MemoryError) and not str(exc)  # numpy's names the allocation
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return USAGE
 
 

@@ -17,6 +17,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Iterable, Optional
 
@@ -169,38 +170,31 @@ UNITARY_TABLES = {
 }
 
 
+def _table_row(k: int, table: str) -> tuple[str, ...]:
+    if not 0 <= k <= 7:
+        raise ValueError("GHZ class index must be in 0..7")
+    return UNITARY_TABLES[table][k]
+
+
 def ghz_class_state(k: int, table: str = "standard") -> Diagram:
     """The k-th GHZ-class state: the table's unitary pair applied to qubits
     2 and 3 of the GHZ state."""
-    if not 0 <= k <= 7:
-        raise ValueError("GHZ class index must be in 0..7")
-    layer = wire()
-    for name in UNITARY_TABLES[table][k]:
-        layer = layer.tensor(pauli(name))
-    return ghz_state(3).compose(layer)
+    return ghz_state(3).compose(reduce(Diagram.tensor, map(pauli, _table_row(k, table)), wire()))
 
 
-_O, _PI = Phase.zero(), Phase.pi()  # the X-then-Z slot phases of each Pauli; iY = Z(pi) X(pi)
+_O, _PI = Phase.zero(), Phase.pi()  # each Pauli's phases in an iY slot: X(pi), then Z(pi)
 _SLOTS = {"I": (_O, _O), "X": (_PI, _O), "Z": (_O, _PI), "iY": (_PI, _PI)}
 
 
 def _sdc_readouts(layers: list[tuple[str, ...]], tol: float) -> list[Optional[int]]:
-    """For each layer of Paulis on qubits 2..n of the n-qubit GHZ state, the
-    basis state that ``ghz_measurement(n)`` reads, or None when some other
-    entry exceeds ``tol`` relative to the largest.  The layers are phase variants
-    of one template, with an X-then-Z spider slot on each of wires 2..n."""
-    d = Diagram()
-    d.add_output(d.add_vertex(Z))  # the GHZ spider, vertex 0
-    slots = [(d.add_vertex(X), d.add_vertex(Z)) for _ in layers[0]]
-    for x, z in slots:
-        d.add_edge(0, x)
-        d.add_edge(x, z)
-        d.add_output(z)
-    d = d.compose(ghz_measurement(len(d.outputs)))  # keeps the slot ids
-    variants = [
-        {v: p for slot, name in zip(slots, layer) for v, p in zip(slot, _SLOTS[name])}
-        for layer in layers
-    ]
+    """For each layer of Paulis on qubits 2..n of the n-qubit GHZ state, the basis
+    state ``ghz_measurement(n)`` reads (None if another entry exceeds ``tol`` of the
+    largest), as phase variants of one template with ``pauli("iY")`` on wires 2..n."""
+    n = 1 + len(layers[0])
+    slots = reduce(Diagram.tensor, [pauli("iY")] * (n - 1), wire())
+    d = ghz_state(n).compose(slots).compose(ghz_measurement(n))
+    phased = [v for v in sorted(d.phases) if d.phases[v].num]  # X then Z, wire by wire
+    variants = [dict(zip(phased, [p for name in layer for p in _SLOTS[name]])) for layer in layers]
     mags = np.abs(evaluate_phases(d, variants).reshape(len(layers), -1))
     at = range(len(layers)), mags.argmax(axis=1)
     top, mags[at] = mags[at], 0
@@ -214,9 +208,7 @@ def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int,
     entries below ``tol`` relative); anything else signals a circuit
     transcription error and raises ValueError.
     """
-    if not 0 <= k <= 7:
-        raise ValueError("GHZ class index must be in 0..7")
-    (idx,) = _sdc_readouts([UNITARY_TABLES[table][k]], tol)
+    (idx,) = _sdc_readouts([_table_row(k, table)], tol)
     if idx is None:
         raise ValueError(f"GHZ measurement of class {k} ({table}) is not a basis state")
     return ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
@@ -316,9 +308,8 @@ def _pauli_layers(n: int) -> list[tuple[str, ...]]:
 
 
 def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
-    """Superdense coding on the n-qubit GHZ state: all 2^n encodings must
-    measure to 2^n distinct computational basis states, read as phase
-    variants of one template diagram (``_sdc_readouts``)."""
+    """Superdense coding on the n-qubit GHZ state: all 2^n encodings, phase variants
+    of one template (``_sdc_readouts``), must measure to 2^n distinct basis states."""
     if not 3 <= n <= 6:
         raise ValueError("n must be in 3..6")
     report = ProtocolReport(f"sdc-ghz-n{n}")
@@ -407,9 +398,8 @@ def _round_table(
         signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
         acc += _born_from_vector(w_vec, [bases[k] + signs[k] for k in range(3)])
         sums.append(acc)
-        record = _round_record(bases, signs)
-        records.append((record, tuple(k for k in range(3) if k != record.decider)))
-    return sums, records
+        records.append(_round_record(bases, signs))
+    return sums, [(r, tuple(k for k in range(3) if k != r.decider)) for r in records]
 
 
 def _round_record(bases: tuple[str, str, str], signs: tuple[str, str, str]) -> QkdRound:

@@ -24,8 +24,7 @@ one ``einsum`` whose width is checked against the cap before it runs.  The
 result of :func:`evaluate` is a ``2**m x 2**n`` matrix in big-endian wire
 order, times the diagram's ``scalar``: the first output/input is the most
 significant bit of the row/column index.  Phase variants of one graph share
-all but their weights, so :func:`evaluate_phases` sums them in one pass, with
-a batch axis on each weight that varies.
+all but their weights: :func:`evaluate_phases` sums them in one pass.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ _PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
 _QUARTER_TURNS = {(1, 2): 1j, (1, 1): -1, (3, 2): -1j}  # e^{ia} by (num, den), exactly
 _H, _X = VertexType.H, VertexType.X
 _OPERANDS = 16  # per einsum call, below numpy's operand limit
-_BATCH = float("inf")  # the variable that indexes phase variants; sorts last
+_BATCH = float("-inf")  # the variable that indexes phase variants; sorts first
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -94,18 +93,33 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     fresh array; :class:`ResourceLimitError` is raised when it, a phase or
     the scale is out of the float range.
     """
-    return evaluate_phases(d, ({},), max_qubits=max_qubits)[0]
+    return _evaluate(d, {}, 1, max_qubits).reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
 def evaluate_phases(
     d: Diagram, variants: Sequence[dict], *, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
-    """:func:`evaluate` with each variant's {spider: phase} set, as a
-    ``(B, 2**m, 2**n)`` array; the batch counts ``ceil(log2 B)`` wires to the cap."""
+    """:func:`evaluate` of ``d`` with each variant's {spider: phase} set, as a
+    ``(B, 2**m, 2**n)`` array.  A weight that varies gets a batch axis, which
+    counts ``ceil(log2 B)`` wires against ``max_qubits``."""
+    if not variants:
+        raise ValueError("evaluate_phases needs at least one phase variant")
+    batched = {}  # spider: its phase in each variant
+    for v in sorted(set().union(*variants)):
+        if v not in d.phases:
+            raise ValueError(f"vertex {v} is not a spider, so it has no phase to set")
+        batched[v] = [variant.get(v, d.phases[v]) for variant in variants]
+    out = _evaluate(d, batched, len(variants), max_qubits)
+    return out.reshape(len(variants), 2 ** len(d.outputs), 2 ** len(d.inputs))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
+def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarray:
+    """:func:`evaluate` of ``size`` variants, on a leading axis; a spider in
+    ``batched`` takes its phase in each variant from there."""
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
-    batch_bits = (len(variants) - 1).bit_length()
+    batch_bits = (size - 1).bit_length()
     if m + n + batch_bits > max_qubits:
         raise ResourceLimitError(
             f"interface has {m + n + batch_bits} wires, exceeding the cap of {max_qubits}"
@@ -134,14 +148,18 @@ def evaluate_phases(
     for v in sorted(parent):  # flatten (parents have lower ids): parent[v] is v's class
         parent[v] = parent[parent[v]]
 
-    overrides = set().union(*variants)
     weight = {c: [1, 1] for c in sorted(set(parent.values()))}  # (w(0), w(1))
-    for v, phase in d.phases.items():
-        if phase.num and v not in overrides:
-            weight[parent[v]][1] *= _unit(phase)
-    for v in sorted(overrides):  # e^{i alpha} in each variant, or once if they agree
-        u = np.array([_unit(variant.get(v, d.phases[v])) for variant in variants])
-        weight[parent[v]][1] *= u if (u != u[0]).any() else u[0]
+    phases = d.phases if not batched else {v: p for v, p in d.phases.items() if v not in batched}
+    try:
+        for v, phase in phases.items():  # inline: a call per phase costs evaluate 2%
+            if phase.num:
+                turn = _QUARTER_TURNS.get((phase.num, phase.den))
+                weight[parent[v]][1] *= turn or cmath.exp(1j * phase.radians)
+        for v, ps in batched.items():  # e^{i alpha} per variant, or once where all agree
+            u = [_QUARTER_TURNS.get((p.num, p.den)) or cmath.exp(1j * p.radians) for p in ps]
+            weight[parent[v]][1] *= np.array(u) if len(set(u)) > 1 else u[0]
+    except OverflowError:  # a numerator or denominator is past the float range
+        raise ResourceLimitError("a phase is out of floating-point range") from None
     adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
     for a, b in h_edges:
         u, v = parent[a], parent[b]
@@ -179,11 +197,11 @@ def evaluate_phases(
     # factors keyed by their sorted variables; holding[c]: the keys with c
     factors: dict[tuple, np.ndarray] = {}
     holding: dict[int, set[tuple]] = {c: set() for c in weight}
-    holding[_BATCH] = set()  # a weight that varies ends with the batch axis, never summed
-    for c in [c for c, w in weight.items() if type(w[1]) is np.ndarray] if overrides else ():
-        factors[c, _BATCH] = np.stack(np.broadcast_arrays(*weight.pop(c)))
-        holding[c].add((c, _BATCH))
-        holding[_BATCH].add((c, _BATCH))
+    if batched:  # a weight that varies leads with the batch axis, which is never summed
+        holding[_BATCH] = set()
+        for c in [c for c, w in weight.items() if type(w[1]) is np.ndarray]:
+            factors[_BATCH, c] = np.stack(np.broadcast_arrays(*weight.pop(c)), axis=1)
+            holding[c].add((_BATCH, c))
     for c, w in weight.items():
         if w != [1, 1]:
             factors[c,] = np.array(w, dtype=complex)
@@ -200,8 +218,8 @@ def evaluate_phases(
         for u in scope:
             adj[u].discard(c)
             adj[u].update(w for w in scope if w != u)
-        if overrides and not holding[c].isdisjoint(holding[_BATCH]):
-            scope.append(_BATCH)
+        if batched and any(key[0] is _BATCH for key in holding[c]):
+            scope.insert(0, _BATCH)
         args = []
         for key in holding.pop(c):
             args += [factors.pop(key), key]
@@ -220,27 +238,22 @@ def evaluate_phases(
                 holding[u].add(key)
 
     opens = sorted(set(pins))
-    if len(variants) > 1:  # the batch axis trails; factors without it broadcast along it
-        out = np.full((2,) * len(opens) + (len(variants),), scale, dtype=complex)
-        for key, t in factors.items():
-            shape = [2 if u in key else 1 for u in opens]
-            out *= t.reshape(shape + [-1 if key[-1] == _BATCH else 1])
-        pins, opens = [_BATCH, *pins], [*opens, _BATCH]  # the batch axis leads the result
-    else:
-        out = np.full((2,) * len(opens), scale, dtype=complex)
-        for key, t in factors.items():
-            out *= t.reshape([2 if u in key else 1 for u in opens])
+    out = np.empty((size,) + (2,) * len(opens), dtype=complex)
+    out.T[...] = scale  # a scale that varies runs along the leading batch axis
+    for key, t in factors.items():
+        shape = [2 if u in key else 1 for u in opens]
+        out *= t.reshape([-1, *shape] if key[0] is _BATCH else shape)
+    axes = [0] + [opens.index(c) + 1 for c in pins]
     if len(opens) == len(pins):  # no two pins share a class
-        out = out.transpose([opens.index(c) for c in pins])
+        out = out.transpose(axes)
     else:
         # write out into the diagonal of the pins that share a class
-        lead = (len(variants),) if pins[0] == _BATCH else ()  # the batch axis
-        result = np.zeros(lead + (2,) * (len(pins) - len(lead)), dtype=complex)
-        np.einsum(result, [opens.index(c) for c in pins], range(len(opens)))[...] = out
+        result = np.zeros((size,) + (2,) * len(pins), dtype=complex)
+        np.einsum(result, axes, range(len(opens) + 1))[...] = out
         out = result
     if not np.isfinite(out).all():
         raise ResourceLimitError("the value is out of floating-point range")
-    return out.reshape(len(variants), 2**m, 2**n)
+    return out
 
 
 def _einsum(args: list, out: list, max_qubits: int, batch_bits: int) -> np.ndarray:
@@ -248,7 +261,7 @@ def _einsum(args: list, out: list, max_qubits: int, batch_bits: int) -> np.ndarr
     refused before it runs when ``out`` (the batch ``batch_bits`` wide) is
     wider than ``max_qubits``.  More than ``_OPERANDS`` tensors go in groups
     first, each checked the same way.  ``args``' variables are renumbered."""
-    width = len(out) if not out or out[-1] != _BATCH else len(out) - 1 + batch_bits
+    width = len(out) - 1 + batch_bits if out and out[0] is _BATCH else len(out)
     if width > max_qubits:
         raise ResourceLimitError(
             f"intermediate tensor with {width} wires exceeds the cap of {max_qubits}"
@@ -261,14 +274,6 @@ def _einsum(args: list, out: list, max_qubits: int, batch_bits: int) -> np.ndarr
     for k in range(1, len(args), 2):
         args[k] = [index.setdefault(u, len(index)) for u in args[k]]
     return np.einsum(*args, [index[u] for u in out])
-
-
-def _unit(phase) -> complex:
-    """e^{i phase}, exact at the quarter turns."""
-    try:
-        return _QUARTER_TURNS.get((phase.num, phase.den)) or cmath.exp(1j * phase.radians)
-    except OverflowError:  # its numerator or denominator is past the float range
-        raise ResourceLimitError("a phase is out of floating-point range") from None
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,24 @@ def test_memory_error_exit_2(cnot_file, capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "eval", exhausted)
     assert run_cli(capsys, "eval", cnot_file) == (2, "", "error: out of memory\n")
 
+    def too_big(args):
+        raise MemoryError("Unable to allocate 256. GiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", too_big)
+    assert run_cli(capsys, "eval", cnot_file) == (
+        2, "", "error: Unable to allocate 256. GiB for an array\n"
+    )
+
+
+def test_empty_error_messages_are_not_called_out_of_memory(cnot_file, capsys, monkeypatch):
+    from zxcalc import cli
+
+    def fails(args):
+        raise ValueError
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", fails)
+    assert run_cli(capsys, "eval", cnot_file) == (2, "", "error: \n")
+
 
 def test_huge_phase_token_exit_2_without_traceback(tmp_path):
     # a reduced phase (2*10**400 - 1)/10**400: exact, but no float holds its parts

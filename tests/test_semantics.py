@@ -404,6 +404,31 @@ def test_evaluate_phases_rows_equal_evaluate_with_the_phases_set():
             assert np.max(np.abs(row - ref)) <= 1e-12 * scale, serialize_zxg(e)
 
 
+def test_evaluate_phases_batches_the_scale_and_shared_pins():
+    # a closed spider with no neighbour sums into the scale; the GHZ spider's
+    # two outputs share one class, so the result is written into a diagonal
+    d = ghz_state(2)
+    (z,) = d.phases
+    loop = d.add_vertex(Z)
+    variants = [{z: Phase(k, 4), loop: Phase(3 * k, 4)} for k in range(5)]
+    for variant, row in zip(variants, evaluate_phases(d, variants)):
+        e = d.copy()
+        e.phases.update(variant)
+        assert np.max(np.abs(row - evaluate(e))) <= 1e-12
+
+
+def test_evaluate_phases_refuses_what_it_cannot_set():
+    d = pauli("Z")
+    h = d.add_vertex(VertexType.H)
+    d.add_edge(d.add_input(), h)
+    d.add_edge(h, d.add_output())
+    with pytest.raises(ValueError, match="at least one phase variant"):
+        evaluate_phases(d, [])
+    for v in (d.inputs[0], h, max(d.types) + 1):  # a boundary, an H box, no vertex
+        with pytest.raises(ValueError, match=f"vertex {v} is not a spider"):
+            evaluate_phases(d, [{}, {v: Phase(1)}])
+
+
 def test_evaluate_phases_refuses_a_phase_no_float_holds():
     d = ghz_state(2)
     (z,) = d.phases
