@@ -4,13 +4,20 @@ The matrices are built directly from textbook definitions with numpy and
 never call the diagram evaluator, so evaluator tests compare two genuinely
 independent routes.  Graph isomorphism and connected components come from
 networkx, reading only a diagram's vertex, phase, edge and interface data.
+:func:`lhs_samples` loads the committed sample diagrams that the pinned
+match and trace digests are taken over.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
+
+from zxcalc.graph import parse_zxg
 
 SQRT2 = np.sqrt(2)
 
@@ -146,3 +153,13 @@ def isomorphic(a, b) -> bool:
 def component(d, v: int) -> set[int]:
     """The vertices of ``d`` connected to ``v``, ``v`` included."""
     return nx.node_connected_component(_nx_graph(d), v)
+
+
+LHS_SAMPLES = Path(__file__).resolve().parent / "lhs_samples.zxg"
+
+
+def lhs_samples() -> list:
+    """The diagrams of ``lhs_samples.zxg`` in file order, each parsed from
+    the text after its ``# <rule> <direction> <k>`` header."""
+    chunks = re.split(r"^# \S+ (?:forward|backward) \d+$", LHS_SAMPLES.read_text(), flags=re.M)
+    return [parse_zxg(text) for text in chunks[1:]]

@@ -15,7 +15,14 @@ from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, Match, StaleMatchError
 from zxcalc.rewrite.rules import unfuse_match
 from zxcalc.rewrite.soundness import embed_lhs, random_diagram
 
-from oracles import SIGMA_X, exactly_equal, isomorphic, proportional, z_spider_matrix
+from oracles import (
+    SIGMA_X,
+    exactly_equal,
+    isomorphic,
+    lhs_samples,
+    proportional,
+    z_spider_matrix,
+)
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -607,12 +614,7 @@ MATCH_DIGEST = "2ea8bb7df03f28dbcd34dfba8dbdeeef910ed48b9fba822eb55fd5d8cf30f1a9
 
 def test_match_lists_pinned():
     diagrams = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
-    rng = random.Random(0)
-    for name, direction in PAIRS:
-        for _ in range(25):
-            d = random_diagram(rng)
-            embed_lhs(name, direction, d, rng)
-            diagrams.append(d)
+    diagrams += lhs_samples()
     ladder = cnot()
     for _ in range(9):
         ladder = ladder.compose(cnot())

@@ -21,7 +21,7 @@ from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, _safe_b1_filter
 from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
 
-from oracles import component, exactly_equal, isomorphic, proportional
+from oracles import component, exactly_equal, isomorphic, lhs_samples, proportional
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -240,16 +240,7 @@ def _trace_corpus():
     for _ in range(39):
         ladder = ladder.compose(cnot())
         diagrams.append(ladder)
-    pairs = [(name, FORWARD) for name in RULE_NAMES] + [
-        (name, BACKWARD) for name in ("S1", "B2", "C")
-    ]
-    rng = random.Random(0)
-    for name, direction in pairs:
-        for _ in range(25):
-            d = random_diagram(rng)
-            embed_lhs(name, direction, d, rng)
-            diagrams.append(d)
-    return diagrams
+    return diagrams + lhs_samples()
 
 
 def test_simplify_traces_pinned():
