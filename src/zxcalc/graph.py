@@ -67,18 +67,19 @@ class VertexType(Enum):
     BOUNDARY = "B"
 
     def is_spider(self) -> bool:
-        return self in (VertexType.Z, VertexType.X)
+        return self is _Z or self is _X
 
     @property
     def opposite(self) -> "VertexType":
-        if self is VertexType.Z:
-            return VertexType.X
-        if self is VertexType.X:
-            return VertexType.Z
+        if self is _Z:
+            return _X
+        if self is _X:
+            return _Z
         raise ValueError(f"{self} has no opposite colour")
 
 
-_H, _BOUNDARY = VertexType.H, VertexType.BOUNDARY  # Enum hashes and class reads are slow
+# Enum hashes and class reads are slow: hot paths read the members from here
+_Z, _X, _H, _BOUNDARY = VertexType.Z, VertexType.X, VertexType.H, VertexType.BOUNDARY
 
 # the incidences of a vertex the diagram does not have
 _NO_EDGES: MappingProxyType = MappingProxyType({})
@@ -152,14 +153,14 @@ class Diagram:
 
     def add_input(self, attach_to: Optional[int] = None) -> int:
         """Add a boundary vertex, append it to the inputs, optionally wire it."""
-        v = self.add_vertex(VertexType.BOUNDARY)
+        v = self.add_vertex(_BOUNDARY)
         self.inputs.append(v)
         if attach_to is not None:
             self.add_edge(v, attach_to)
         return v
 
     def add_output(self, attach_to: Optional[int] = None) -> int:
-        v = self.add_vertex(VertexType.BOUNDARY)
+        v = self.add_vertex(_BOUNDARY)
         self.outputs.append(v)
         if attach_to is not None:
             self.add_edge(v, attach_to)
@@ -237,18 +238,18 @@ class Diagram:
         """Raise :class:`InvariantError` unless every diagram invariant holds."""
         boundaries = 0
         for v, ty in self.types.items():
-            if ty is VertexType.BOUNDARY:
+            if ty is _BOUNDARY:
                 if len(self._inc[v]) != 1:
                     raise InvariantError(f"boundary vertex {v} must have degree 1")
                 boundaries += 1
-            elif ty is VertexType.H and len(self._inc[v]) != 2:
+            elif ty is _H and len(self._inc[v]) != 2:
                 raise InvariantError(f"H vertex {v} must have degree 2")
         interface = self.inputs + self.outputs
         for v in interface:
             ty = self.types.get(v)
             if ty is None:
                 raise InvariantError(f"interface lists missing vertex {v}")
-            if ty is not VertexType.BOUNDARY:
+            if ty is not _BOUNDARY:
                 raise InvariantError(f"interface vertex {v} is not a boundary")
         if len(set(interface)) != len(interface):
             raise InvariantError("a boundary vertex appears twice in the interface")

@@ -16,7 +16,7 @@ are deliberately conservative and reject shapes (self-loops where they would
 change the semantics, parallel-edge corner cases) that were not verified.
 
 Each (rule, direction) pair is one class that names its match ``roles`` and
-supplies three parts:
+supplies four parts:
 
 * ``candidates(d)`` enumerates possible matches in ascending order.  It may
   over-approximate (it prunes only by adjacency, neighbour counts, vertex
@@ -28,24 +28,28 @@ supplies three parts:
   so a mirrored match does not hold;
 * ``_rewrite(d, m)`` rewrites ``d`` in place, reading the phases it needs
   before it changes them, and multiplies ``d.scalar`` by the factor λ with
-  before = λ · after.
+  before = λ · after;
+* ``lhs(d, rng, phases)`` adds a bare instance of the left-hand side to
+  ``d``, with phases from ``phases``, and returns the pattern vertex of
+  each free leg.  Wired to fresh boundaries or to spiders outside it, the
+  instance is a match; the soundness sampler embeds it so.
 
 ``iter_matches`` lazily yields the candidates that hold, so matches come
 out deterministically, ascending in their vertex ids taken in the order of
 ``roles``; the first match is ``next(iter_matches(d))`` and costs only the
-candidates before it.
-``apply`` never mutates its input: it raises :class:`StaleMatchError` unless
-the match has this rule's name and roles and still holds, then returns a
-rewritten copy.
+candidates before it.  ``apply`` never mutates its input: it raises
+:class:`StaleMatchError` unless the match has this rule's name and roles
+and still holds, then returns a rewritten copy.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from ..graph import Diagram, VertexType
+from ..graph import _H, _X, _Z, Diagram, VertexType
 from ..phase import Phase, Scalar
 
 FORWARD = "forward"
@@ -137,6 +141,9 @@ class RewriteRule:
     def _rewrite(self, d: Diagram, m: Match) -> None:
         raise NotImplementedError
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        raise NotImplementedError
+
     def iter_matches(self, d: Diagram) -> Iterator[Match]:
         return (m for m in self.candidates(d) if self.holds(d, m))
 
@@ -176,6 +183,14 @@ class FuseRule(RewriteRule):
             and d.edge_count(u, v) >= 1
         )
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        ty = rng.choice((_Z, _X))
+        u = d.add_vertex(ty, rng.choice(phases))
+        v = d.add_vertex(ty, rng.choice(phases))
+        for _ in range(rng.randint(1, 2)):
+            d.add_edge(u, v)
+        return [u] * rng.randint(0, 2) + [v] * rng.randint(0, 2)
+
     def _rewrite(self, d: Diagram, m: Match) -> None:
         u, v = m["u"], m["v"]
         d.phases[u] = d.phases[u] + d.phases[v]
@@ -211,6 +226,9 @@ class UnfuseRule(RewriteRule):
         return _spider(d, v) and all(
             w != v and d.edge_count(v, w) >= count for w, count in m["legs"]
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        return [d.add_vertex(rng.choice((_Z, _X)), rng.choice(phases))] * rng.randint(1, 3)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
@@ -251,6 +269,9 @@ class IdentityRule(RewriteRule):
             and d.self_loops(v) == 0
         )
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        return [d.add_vertex(rng.choice((_Z, _X)))] * 2
+
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
         a, b = d.neighbors(v)
@@ -270,6 +291,11 @@ class LoopRule(RewriteRule):
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
         return _spider(d, v) and d.self_loops(v) >= 1
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        v = d.add_vertex(rng.choice((_Z, _X)), rng.choice(phases))
+        d.add_edge(v, v)
+        return [v] * rng.randint(0, 2)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
@@ -311,6 +337,14 @@ class _PointCopyRule(RewriteRule):
             and d.edge_count(p, s) == 1
             and (not self.spider_phase_zero or d.phases[s].is_zero())
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        colour = rng.choice((_Z, _X))
+        p = d.add_vertex(colour, self.point_phase)
+        spider_phase = Phase.zero() if self.spider_phase_zero else rng.choice(phases)
+        s = d.add_vertex(colour.opposite, spider_phase)
+        d.add_edge(p, s)
+        return [s] * rng.randint(0, 3)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         p, s = m["point"], m["spider"]
@@ -378,6 +412,13 @@ class PiCommuteRule(RewriteRule):
             and d.self_loops(s) == 0
         )
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        colour = rng.choice((_Z, _X))
+        x = d.add_vertex(colour, Phase.pi())
+        s = d.add_vertex(colour.opposite, rng.choice(phases))
+        d.add_edge(x, s)
+        return [x] + [s] * rng.randint(0, 2)
+
     def _rewrite(self, d: Diagram, m: Match) -> None:
         x, s = m["pi_vertex"], m["spider"]
         colour = d.types[x]
@@ -401,7 +442,7 @@ class PiCommuteRule(RewriteRule):
 def _corners(d: Diagram) -> dict[VertexType, dict[int, list[int]]]:
     """The spiders of degree 3 by colour, each with its distinct other
     neighbours, as in :func:`_around`."""
-    out: dict[VertexType, dict[int, list[int]]] = {VertexType.Z: {}, VertexType.X: {}}
+    out: dict[VertexType, dict[int, list[int]]] = {_Z: {}, _X: {}}
     for v, ends in _around(d, 3):
         out[d.types[v]][v] = ends
     return out
@@ -428,8 +469,8 @@ class BialgebraRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
         corners = _corners(d)
-        xs = corners[VertexType.X]
-        for z, others in corners[VertexType.Z].items():
+        xs = corners[_X]
+        for z, others in corners[_Z].items():
             for x in others:
                 if x in xs:
                     yield _match(self.name, z=z, x=x)
@@ -437,10 +478,15 @@ class BialgebraRule(RewriteRule):
     def holds(self, d: Diagram, m: Match) -> bool:
         z, x = m["z"], m["x"]
         return (
-            _corner(d, z, VertexType.Z)
-            and _corner(d, x, VertexType.X)
+            _corner(d, z, _Z)
+            and _corner(d, x, _X)
             and d.edge_count(z, x) == 1
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        z, x = d.add_vertex(_Z), d.add_vertex(_X)
+        d.add_edge(z, x)
+        return [z, z, x, x]
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         z, x = m["z"], m["x"]
@@ -449,8 +495,8 @@ class BialgebraRule(RewriteRule):
         d.scalar *= Scalar(1)
         d.remove_vertex(z)
         d.remove_vertex(x)
-        xs = [d.add_vertex(VertexType.X, Phase.zero()) for _ in z_legs]
-        zs = [d.add_vertex(VertexType.Z, Phase.zero()) for _ in x_legs]
+        xs = [d.add_vertex(_X, Phase.zero()) for _ in z_legs]
+        zs = [d.add_vertex(_Z, Phase.zero()) for _ in x_legs]
         for fresh, w in list(zip(xs, z_legs)) + list(zip(zs, x_legs)):
             d.add_edge(fresh, w)
         for xf in xs:
@@ -469,7 +515,7 @@ class BialgebraBackwardRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> list[Match]:
         corners = _corners(d)
-        xs, zs = corners[VertexType.X], corners[VertexType.Z]
+        xs, zs = corners[_X], corners[_Z]
         out = []
         for x1, others in xs.items():
             for z1, z2 in combinations([z for z in others if z in zs], 2):
@@ -485,12 +531,19 @@ class BialgebraBackwardRule(RewriteRule):
         return (
             x1 < x2
             and z1 < z2
-            and all(_corner(d, v, VertexType.X) for v in (x1, x2))
-            and all(_corner(d, v, VertexType.Z) for v in (z1, z2))
+            and all(_corner(d, v, _X) for v in (x1, x2))
+            and all(_corner(d, v, _Z) for v in (z1, z2))
             and all(d.edge_count(a, b) == 1 for a in (x1, x2) for b in (z1, z2))
             and d.edge_count(x1, x2) == 0
             and d.edge_count(z1, z2) == 0
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        xs = [d.add_vertex(_X) for _ in range(2)]
+        zs = [d.add_vertex(_Z) for _ in range(2)]
+        for a, b in product(xs, zs):
+            d.add_edge(a, b)
+        return xs + zs
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         x1, x2, z1, z2 = m["x1"], m["x2"], m["z1"], m["z2"]
@@ -501,8 +554,8 @@ class BialgebraBackwardRule(RewriteRule):
         for v in quad:
             d.remove_vertex(v)
         d.scalar *= Scalar(-1)
-        z = d.add_vertex(VertexType.Z, Phase.zero())
-        x = d.add_vertex(VertexType.X, Phase.zero())
+        z = d.add_vertex(_Z, Phase.zero())
+        x = d.add_vertex(_X, Phase.zero())
         d.add_edge(z, x)
         d.add_edge(z, outer[x1])
         d.add_edge(z, outer[x2])
@@ -525,17 +578,23 @@ class ColorChangeRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, vertex=v) for v in d.vertices() if d.types[v] is VertexType.X)
+        return (_match(self.name, vertex=v) for v in d.vertices() if d.types[v] is _X)
 
     def holds(self, d: Diagram, m: Match) -> bool:
-        return d.types.get(m["vertex"]) is VertexType.X
+        return d.types.get(m["vertex"]) is _X
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        v = d.add_vertex(_X, rng.choice(phases))
+        if rng.random() < 0.3:
+            d.add_edge(v, v)
+        return [v] * rng.randint(0, 3)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
-        d.types[v] = VertexType.Z
+        d.types[v] = _Z
         for w in [u for u in _legs(d, v) if u != v]:
             d.remove_edge(v, w)
-            h = d.add_vertex(VertexType.H)
+            h = d.add_vertex(_H)
             d.add_edge(v, h)
             d.add_edge(h, w)
 
@@ -551,25 +610,32 @@ class ColorChangeBackwardRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterator[Match]:
         for v in d.vertices():
-            if d.types[v] is not VertexType.Z:
+            if d.types[v] is not _Z:
                 continue
-            hs = tuple(w for w in _legs(d, v) if d.types[w] is VertexType.H)
+            hs = tuple(w for w in _legs(d, v) if d.types[w] is _H)
             if hs:
                 yield _match(self.name, vertex=v, hadamards=hs)
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v, hs = m["vertex"], m["hadamards"]
-        if d.types.get(v) is not VertexType.Z or not hs:
+        if d.types.get(v) is not _Z or not hs:
             return False
         legs = tuple(w for w in _legs(d, v) if w != v)
         # each H is joined to v once and its other leg leaves v: an H that
         # loops back onto v is an unverified shape
         return legs == hs and all(
-            d.types[h] is VertexType.H
+            d.types[h] is _H
             and d.edge_count(v, h) == 1
             and sum(u != v for u in d.neighbors(h)) == 1
             for h in hs
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        v = d.add_vertex(_Z, rng.choice(phases))
+        hs = [d.add_vertex(_H) for _ in range(rng.randint(1, 3))]
+        for h in hs:
+            d.add_edge(v, h)
+        return hs
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
@@ -577,7 +643,7 @@ class ColorChangeBackwardRule(RewriteRule):
             (far,) = [u for u in d.neighbors(h) if u != v]
             d.remove_vertex(h)
             d.add_edge(v, far)
-        d.types[v] = VertexType.X
+        d.types[v] = _X
 
 
 # ----------------------------------------------------------------------
@@ -616,6 +682,12 @@ class ScalarPairRule(RewriteRule):
             and (d.phases[p] in _CLIFFORD_PI or d.phases[q] in _CLIFFORD_PI)
         )
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        colour = rng.choice((_Z, _X))
+        p = d.add_vertex(colour, rng.choice(_CLIFFORD_PI))
+        d.add_edge(p, d.add_vertex(colour.opposite, rng.choice(phases)))
+        return []
+
     def _rewrite(self, d: Diagram, m: Match) -> None:
         a, b = d.phases[m["p"]], d.phases[m["q"]]
         d.scalar *= Scalar(1, b if a.is_pi() else a if b.is_pi() else Phase.zero())
@@ -649,6 +721,12 @@ class ScalarLoopRule(RewriteRule):
             and not d.phases[v].is_pi()
         )
 
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        v = d.add_vertex(rng.choice((_Z, _X)), rng.choice([a for a in phases if not a.is_pi()]))
+        if rng.random() < 0.6:
+            d.add_edge(v, v)
+        return []
+
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
         d.scalar *= Scalar(nodes=(d.phases[v],))
@@ -665,8 +743,6 @@ class SupplementarityRule(RewriteRule):
     The spider and both points are consumed and a single pi point of the
     points' colour lands on the remaining wire; the factor removed is
     sqrt(2) * e^{ia} for the centre phase a.
-    Both phase variants (centre phase 0 or pi) and both colour polarities
-    are matched; all four were verified by the oracle.
     """
 
     name = "E"
@@ -698,6 +774,13 @@ class SupplementarityRule(RewriteRule):
             and d.edge_count(t, p) == 1
             for p in (p1, p2)
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        colour = rng.choice((_Z, _X))
+        t = d.add_vertex(colour, rng.choice(_CLIFFORD_PI))
+        for _ in range(2):
+            d.add_edge(t, d.add_vertex(colour.opposite, Phase.pi()))
+        return [t]
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         t, p1, p2 = m["center"], m["p1"], m["p2"]
@@ -733,6 +816,14 @@ class HopfRule(RewriteRule):
             and d.types[v] is d.types[u].opposite
             and d.edge_count(u, v) == 2
         )
+
+    def lhs(self, d: Diagram, rng: random.Random, phases: list[Phase]) -> list[int]:
+        colour = rng.choice((_Z, _X))
+        u = d.add_vertex(colour, rng.choice(phases))
+        v = d.add_vertex(colour.opposite, rng.choice(phases))
+        d.add_edge(u, v)
+        d.add_edge(u, v)
+        return [u] * rng.randint(0, 2) + [v] * rng.randint(0, 2)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         u, v = m["u"], m["v"]

@@ -30,12 +30,13 @@ all but their weights: :func:`evaluate_phases` sums them in one pass.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Diagram, VertexType
+from .graph import _H, _X, Diagram, VertexType
 
 DEFAULT_MAX_QUBITS = 14
 DEFAULT_TOLERANCE = 1e-9
@@ -49,7 +50,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 _PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
 _QUARTER_TURNS = {(1, 2): 1j, (1, 1): -1, (3, 2): -1j}  # e^{ia} by (num, den), exactly
-_H, _X = VertexType.H, VertexType.X
 _OPERANDS = 16  # per einsum call, below numpy's operand limit
 _BATCH = float("-inf")  # the variable that indexes phase variants; sorts first
 
@@ -74,7 +74,7 @@ def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     t = np.zeros((2,) * degree, dtype=complex)
     t[(0,) * degree] = 1
     t[(1,) * degree] = np.exp(1j * phase.radians)
-    if ty is VertexType.X:
+    if ty is _X:
         for axis in range(degree):
             t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, axis)), 0, axis)
     return _read_only(t)
@@ -335,10 +335,16 @@ def born_probability(state: Diagram, effects) -> float:
 
 
 def _born_from_vector(vec: np.ndarray, effects: list) -> float:
-    """:func:`born_probability` on the flat vector of an evaluated state."""
-    norm_sq = float(np.real(np.vdot(vec, vec)))
-    if norm_sq <= 1e-24:  # numerically zero state
+    """:func:`born_probability` on the flat vector of an evaluated state.
+    Only a state whose every amplitude is 0 has zero norm; any other is first
+    scaled by the power of two that brings its largest magnitude into
+    [0.5, 1), exactly, so the result does not depend on the state's scale."""
+    peak = float(np.abs(vec).max())
+    if peak == 0:
         raise ValueError("state has zero norm")
+    shift = -math.frexp(peak)[1]
+    vec = np.ldexp(vec.real, shift) + 1j * np.ldexp(vec.imag, shift)
+    norm_sq = float(np.real(np.vdot(vec, vec)))
     bra = np.asarray(1.0 + 0j)
     for label in effects:
         try:

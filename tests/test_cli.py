@@ -149,8 +149,8 @@ def test_soundness_cli_reports_vacuous_and_skipped(capsys):
     code, out, _ = run_cli(capsys, "soundness", "HOPF")
     assert code == 0
     assert out == (
-        "soundness HOPF (forward): 186 applications over 200 samples, seed 0: "
-        "0 failures, 64 vacuous, 40 skipped\n"
+        "soundness HOPF (forward): 235 applications over 200 samples, seed 0: "
+        "0 failures, 63 vacuous, 0 skipped\n"
     )
 
 

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zxcalc.graph import Diagram, VertexType, parse_zxg
+from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase, Scalar
 from zxcalc.protocols import cnot
 from zxcalc.semantics import evaluate
 from zxcalc.rewrite import BACKWARD, FORWARD, RULE_NAMES, Match, StaleMatchError, get_rule
 from zxcalc.rewrite.rules import unfuse_match
-from zxcalc.rewrite.soundness import embed_lhs, random_diagram
+from zxcalc.rewrite.soundness import _phase_pool, embed_lhs, random_diagram
 
 from oracles import (
     SIGMA_X,
@@ -568,6 +568,24 @@ def test_deterministic_enumeration():
             again = list(rule.iter_matches(d))
             assert once == again
             assert len(set(once)) == len(once)
+
+
+@pytest.mark.parametrize("name,direction", PAIRS)
+def test_lhs_instance_is_a_match(name, direction):
+    """Each rule's lhs, every free leg sent to a fresh output, is a valid
+    diagram on which the rule matches the instance's own vertices."""
+    rule = get_rule(name, direction)
+    for seed in range(50):
+        rng = random.Random(seed)
+        d = Diagram()
+        legs = rule.lhs(d, rng, _phase_pool(rng))
+        pattern = set(d.vertices())
+        assert set(legs) <= pattern
+        for v in legs:
+            d.add_output(v)
+        d.validate()
+        matches = rule.iter_matches(d)
+        assert any(set(m.vertex_ids) <= pattern for m in matches), (seed, serialize_zxg(d))
 
 
 def test_apply_leaves_input_untouched():
