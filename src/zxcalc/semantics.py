@@ -342,13 +342,14 @@ def _born_from_vector(vec: np.ndarray, effects: list) -> float:
     peak = float(np.abs(vec).max())
     if peak == 0:
         raise ValueError("state has zero norm")
-    shift = -math.frexp(peak)[1]
-    vec = np.ldexp(vec.real, shift) + 1j * np.ldexp(vec.imag, shift)
+    # 2^1023, the largest power of two a float holds, already lifts a
+    # subnormal peak into the normal range
+    vec = vec * math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
     norm_sq = float(np.real(np.vdot(vec, vec)))
     bra = np.asarray(1.0 + 0j)
     for label in effects:
         try:
-            bra = np.kron(bra, EFFECT_VECTORS[label])
+            bra = np.multiply.outer(bra, EFFECT_VECTORS[label]).ravel()  # as np.kron, bit for bit
         except KeyError:
             raise ValueError(f"unknown effect {label!r}") from None
     amp = complex(np.dot(np.conj(bra), vec))

@@ -619,8 +619,9 @@ def test_born_w_state_values():
 
 def test_born_probability_is_scale_invariant():
     """The state's scale changes no bit of the probability: 2^-50 W once read
-    as a zero-norm state, and 2^800 W overflowed when squared."""
-    for power in (0, 100, -100, 1600, -1600):  # the scalar is sqrt(2)^power
+    as a zero-norm state, and 2^800 W overflowed when squared.  2^-1050 W has
+    subnormal amplitudes."""
+    for power in (0, 100, -100, 1600, -1600, -2100):  # the scalar is sqrt(2)^power
         w = w_state()
         w.scalar = Scalar(power)
         assert born_probability(w, ["z+", "z+", "z-"]) == 1 / 3, power
