@@ -260,6 +260,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", 1) <= 0:
             raise ValueError("--tol must be positive")
+        if getattr(args, "rounds", 1) < 1:  # before the lemma report reaches stdout
+            raise ValueError("rounds must be >= 1")
         if getattr(args, "max_qubits", 1) < 1 or getattr(args, "steps", 1) < 1:
             raise ValueError("--max-qubits and --steps must be positive")
         return _COMMANDS[args.command](args)

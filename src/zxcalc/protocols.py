@@ -14,8 +14,8 @@ the three participants hold wires 1, 2, 3 in order.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -414,6 +414,45 @@ def _round_record(bases: tuple[str, str, str], signs: tuple[str, str, str]) -> Q
     return QkdRound(bases, signs, accepted=True, decider=decider, shared_bit=bit)
 
 
+_CHUNK = 2048  # rounds per pass of _draw_cells, which bounds its memory for any count
+
+
+def _draw_cells(rng: random.Random, rounds: int, sums: np.ndarray):
+    """Yield, a chunk at a time, each round's cell ``8 * basis + outcome`` as the
+    per-round loop draws it from ``rng``: three ``choice("zx")`` calls, then
+    ``outcome = min(bisect_right(sums[basis], random()), 7)``; the same 32-bit
+    words, read in bulk.  In CPython 3.10 to 3.13, ``choice("zx")`` takes the
+    first word whose top bit is 0 and reads its bit 30 (z = 0, x = 1), and
+    ``random()`` reads the next two as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+    So the rank of the accepted word a round starts at fixes the next round's;
+    the orbit of that map from 0 comes from pointer doubling.  Words a chunk
+    leaves over are carried into the next."""
+    words = np.empty(0, dtype="<u4")
+    while rounds:
+        need = min(rounds, _CHUNK)
+        n = max(9 * need + 32 - len(words), 32)  # a round takes 8 words on average
+        fresh = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+        words = np.concatenate([words, fresh])
+        accepted = words >> 31 == 0
+        top = np.flatnonzero(accepted)  # the words choice() takes, by rank
+        third = top[2:]  # the last of them in the round at each rank
+        whole = np.searchsorted(third, len(words) - 2)  # ranks whose round has its words
+        step = np.arange(len(top) + 1)  # the others stay put
+        step[:whole] += 3 + accepted[third[:whole] + 1] + accepted[third[:whole] + 2]
+        orbit = np.zeros(1, dtype=step.dtype)
+        while len(orbit) <= need:
+            orbit, step = np.concatenate([orbit, step[orbit]]), step[step]
+        done = min(np.searchsorted(orbit, whole), need)
+        q = orbit[:done]
+        bit = words[top] >> 30
+        basis = 4 * bit[q] + 2 * bit[q + 1] + bit[q + 2]
+        u = ((words[third[q] + 1] >> 5) * 67108864.0 + (words[third[q] + 2] >> 6)) / 2.0**53
+        # rows of sums are nondecreasing, so counting entries <= u is bisect_right
+        yield np.minimum((sums[basis] <= u[:, None]).sum(1), 7) + 8 * basis
+        rounds -= done
+        words = words[np.append(top, len(words))[orbit[done]] :]
+
+
 def qkd_simulate(
     rounds: int,
     seed: int = 0,
@@ -424,46 +463,43 @@ def qkd_simulate(
     Each round draws three independent basis choices, keeps only the three
     one-z patterns, samples the joint outcome from the Born distribution,
     applies the decider filter (z outcome must be +) and records the shared
-    bit of the other two participants (x+ -> 0, x- -> 1).  Outcomes are
-    fully determined by ``seed``.
+    bit of the other two participants (x+ -> 0, x- -> 1).  The round log
+    depends on ``seed`` alone: rounds are drawn in bulk (``_draw_cells``)
+    from the same bits that per-round ``choice("zx")`` and ``random()`` calls
+    on ``random.Random(seed)`` read.
 
     ``eavesdrop_checks`` marks rounds that the security steps of the
     protocol would sacrifice for comparison; they are recorded (and excluded
     from the key) but no adversary is modelled.
     """
-    if rounds < 1:
+    if operator.index(rounds) < 1:
         raise ValueError("rounds must be >= 1")
-    rng = random.Random(seed)
     w_vec = evaluate(w_state()).reshape(-1)
-    tables = {bases: _round_table(w_vec, bases) for bases in product("zx", repeat=3)}
+    tables = [_round_table(w_vec, bases) for bases in product("zx", repeat=3)]
+    cells = [entry for _, entries in tables for entry in entries]  # (record, non-deciders)
+    records = [record for record, _ in cells]
+    keyed = np.array([record.shared_bit is not None for record in records])
     sacrificial = set(eavesdrop_checks or ())
 
-    n_basis_accepted = 0
-    n_decider_plus = 0
-    n_unequal = 0
-    n_sacrificed = 0
-    key_bits: dict[tuple[int, int], list[int]] = {}
+    counts, lost = np.zeros((2, 64), dtype=np.int64)  # rounds, and sacrificed ones, per cell
     log: list[QkdRound] = []
+    for drawn in _draw_cells(random.Random(seed), rounds, np.array([s for s, _ in tables])):
+        counts += np.bincount(drawn, minlength=64)
+        if sacrificial:  # only a round that shares a bit can be sacrificed
+            for i in np.flatnonzero(keyed[drawn]).tolist():
+                lost[drawn[i]] += (len(log) + i) in sacrificial
+        log.extend(map(records.__getitem__, drawn.tolist()))  # frozen, so rounds share them
 
-    choice, draw, log_round = rng.choice, rng.random, log.append
-    for r in range(rounds):
-        sums, records = tables[choice("zx"), choice("zx"), choice("zx")]
-        # the first pattern whose running sum passes the draw, else the last
-        record, others = records[min(bisect_right(sums, draw()), 7)]
-        log_round(record)  # records are frozen, so rounds share them
-        if record.decider is None:
-            continue
-        n_basis_accepted += 1
-        if not record.accepted:
-            continue
-        n_decider_plus += 1
-        if record.shared_bit is None:
-            n_unequal += 1
-            continue
-        if r in sacrificial:
-            n_sacrificed += 1
-            continue
-        key_bits.setdefault(others, []).append(record.shared_bit)
+    flags = [  # per cell: basis accepted, decider z+, unequal x outcomes
+        (r.decider is not None, r.accepted, r.accepted and r.shared_bit is None) for r in records
+    ]
+    n_basis_accepted, n_decider_plus, n_unequal = (counts @ np.array(flags)).tolist()
+    key_bits: dict[tuple[int, int], list[int]] = {}  # non-deciders: [bits, ones]
+    for (record, others), n in zip(cells, (counts - lost).tolist()):
+        if n and record.shared_bit is not None:
+            tally = key_bits.setdefault(others, [0, 0])
+            tally[0] += n
+            tally[1] += n * record.shared_bit
 
     report = ProtocolReport("qkd-w3-mc", seed=seed)
     report.rounds = log
@@ -489,11 +525,9 @@ def qkd_simulate(
     report.stats["rounds"] = rounds
     report.stats["basis_accepted"] = n_basis_accepted
     report.stats["decider_plus"] = n_decider_plus
-    report.stats["sacrificed_rounds"] = n_sacrificed
-    for pair in sorted(key_bits):
-        bits = key_bits[pair]
-        names = {0: "A", 1: "B", 2: "C"}
-        label = names[pair[0]] + names[pair[1]]
-        report.stats[f"key_bits_{label}"] = len(bits)
-        report.stats[f"key_ones_{label}"] = sum(bits)
+    report.stats["sacrificed_rounds"] = int(lost.sum())
+    for pair, (bits, ones) in sorted(key_bits.items()):
+        label = "ABC"[pair[0]] + "ABC"[pair[1]]
+        report.stats[f"key_bits_{label}"] = bits
+        report.stats[f"key_ones_{label}"] = ones
     return report

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -90,8 +91,9 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     the lowest id, each by one ``einsum`` over the factors that hold it.
     Its width, the class's neighbour count, is checked against
     ``max_qubits`` before it runs, as is the interface's.  The result is a
-    fresh array; :class:`ResourceLimitError` is raised when it, a phase or
-    the scale is out of the float range.
+    fresh array; :class:`ResourceLimitError` is raised when a phase or the
+    scale is out of the float range, or the result's largest magnitude is
+    (NaN, past the largest float, or nonzero and subnormal).
     """
     return _evaluate(d, {}, 1, max_qubits).reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
 
@@ -251,7 +253,8 @@ def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarr
         result = np.zeros((size,) + (2,) * len(pins), dtype=complex)
         np.einsum(result, axes, range(len(opens) + 1))[...] = out
         out = result
-    if not np.isfinite(out).all():
+    peak = float(np.abs(out).max())  # NaN if any entry is
+    if not (peak == 0 or sys.float_info.min <= peak <= sys.float_info.max):
         raise ResourceLimitError("the value is out of floating-point range")
     return out
 

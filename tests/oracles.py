@@ -5,12 +5,17 @@ never call the diagram evaluator, so evaluator tests compare two genuinely
 independent routes.  Graph isomorphism and connected components come from
 networkx, reading only a diagram's vertex, phase, edge and interface data.
 :func:`lhs_samples` loads the committed sample diagrams that the pinned
-match and trace digests are taken over.
+match and trace digests are taken over.  :func:`qkd_simulate_per_round` is the
+key-distribution simulator as a plain per-round loop over ``random.Random``.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import re
+from bisect import bisect_right
+from itertools import product
 from pathlib import Path
 
 import networkx as nx
@@ -163,3 +168,68 @@ def lhs_samples() -> list:
     the text after its ``# <rule> <direction> <k>`` header."""
     chunks = re.split(r"^# \S+ (?:forward|backward) \d+$", LHS_SAMPLES.read_text(), flags=re.M)
     return [parse_zxg(text) for text in chunks[1:]]
+
+
+def qkd_simulate_per_round(rounds: int, seed: int = 0, eavesdrop_checks=None):
+    """:func:`zxcalc.protocols.qkd_simulate` drawn a round at a time: three
+    ``rng.choice("zx")`` calls, then ``bisect_right`` of ``rng.random()`` into
+    the basis triple's running Born sums.  The same report, by another route."""
+    from zxcalc.protocols import ProtocolReport, _round_table, evaluate, w_state
+
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    rng = random.Random(seed)
+    w_vec = evaluate(w_state()).reshape(-1)
+    tables = {bases: _round_table(w_vec, bases) for bases in product("zx", repeat=3)}
+    sacrificial = set(eavesdrop_checks or ())
+
+    n_basis_accepted = n_decider_plus = n_unequal = n_sacrificed = 0
+    key_bits: dict[tuple[int, int], list[int]] = {}
+    log = []
+    for r in range(rounds):
+        sums, records = tables[rng.choice("zx"), rng.choice("zx"), rng.choice("zx")]
+        record, others = records[min(bisect_right(sums, rng.random()), 7)]
+        log.append(record)
+        if record.decider is None:
+            continue
+        n_basis_accepted += 1
+        if not record.accepted:
+            continue
+        n_decider_plus += 1
+        if record.shared_bit is None:
+            n_unequal += 1
+            continue
+        if r in sacrificial:
+            n_sacrificed += 1
+            continue
+        key_bits.setdefault(others, []).append(record.shared_bit)
+
+    report = ProtocolReport("qkd-w3-mc", seed=seed)
+    report.rounds = log
+    basis_rate = n_basis_accepted / rounds
+    sigma_basis = math.sqrt(3 / 8 * 5 / 8 / rounds)
+    report.add(
+        "basis acceptance rate within 3 sigma of 3/8",
+        f"{3 / 8:.4f}±{3 * sigma_basis:.4f}",
+        f"{basis_rate:.4f}",
+        abs(basis_rate - 3 / 8) <= 3 * sigma_basis,
+    )
+    if n_basis_accepted:
+        plus_rate = n_decider_plus / n_basis_accepted
+        sigma_plus = math.sqrt(2 / 3 * 1 / 3 / n_basis_accepted)
+        report.add(
+            "decider z+ rate within 3 sigma of 2/3",
+            f"{2 / 3:.4f}±{3 * sigma_plus:.4f}",
+            f"{plus_rate:.4f}",
+            abs(plus_rate - 2 / 3) <= 3 * sigma_plus,
+        )
+    report.add("accepted rounds with unequal shared bits", 0, n_unequal, n_unequal == 0)
+    report.stats["rounds"] = rounds
+    report.stats["basis_accepted"] = n_basis_accepted
+    report.stats["decider_plus"] = n_decider_plus
+    report.stats["sacrificed_rounds"] = n_sacrificed
+    for pair in sorted(key_bits):
+        label = "ABC"[pair[0]] + "ABC"[pair[1]]
+        report.stats[f"key_bits_{label}"] = len(key_bits[pair])
+        report.stats[f"key_ones_{label}"] = sum(key_bits[pair])
+    return report

@@ -6,7 +6,8 @@ import pytest
 
 from zxcalc.cli import _build_parser, main
 from zxcalc.graph import parse_zxg, serialize_zxg
-from zxcalc.protocols import cnot, ghz_class_state, ghz_state
+from zxcalc.phase import Scalar
+from zxcalc.protocols import cnot, ghz_class_state, ghz_state, w_state
 from zxcalc.rewrite import BACKWARD, DERIVATION_NAMES, FORWARD, RULE_NAMES, replay_derivation
 from zxcalc.semantics import evaluate
 
@@ -180,6 +181,12 @@ def test_verify_qkd(capsys):
     assert "qkd-w3-lemmas" in out and "qkd-w3-mc" in out
 
 
+@pytest.mark.parametrize("rounds", ["0", "-5"])
+def test_verify_qkd_refuses_rounds_below_1_before_any_output(capsys, rounds):
+    message = "error: rounds must be >= 1\n"
+    assert run_cli(capsys, "verify", "qkd-w3", "--rounds", rounds) == (2, "", message)
+
+
 def test_verify_flags_follow_the_protocol(capsys):
     # after the protocol name the flags take effect
     code, out, _ = run_cli(capsys, "verify", "qkd-w3", "--rounds", "200", "--seed", "3")
@@ -312,6 +319,16 @@ def test_value_out_of_float_range_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "eval", str(path)) == (2, "", message)
     proc = run_cli_process("eval", str(path))  # no warning reaches stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+
+
+def test_subnormal_value_exit_2(tmp_path, capsys):
+    # 2^-1050 times the W state: every amplitude is subnormal
+    d = w_state()
+    d.scalar = Scalar(-2100)
+    path = tmp_path / "subnormal.zxg"
+    path.write_text(serialize_zxg(d))
+    message = "error: the value is out of floating-point range\n"
+    assert run_cli(capsys, "eval", str(path)) == (2, "", message)
 
 
 def test_memory_error_exit_2(cnot_file, capsys, monkeypatch):

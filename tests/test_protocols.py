@@ -33,6 +33,7 @@ from oracles import (
     exactly_equal,
     ghz_measurement_matrix,
     proportional,
+    qkd_simulate_per_round,
     standard_form_vector,
 )
 
@@ -358,8 +359,67 @@ def test_qkd_simulate_eavesdrop_hook():
 
 
 def test_qkd_simulate_rejects_bad_rounds():
-    with pytest.raises(ValueError):
-        qkd_simulate(0)
+    for rounds in (0, -3):
+        with pytest.raises(ValueError):
+            qkd_simulate(rounds)
+    for rounds in (2.5, 0.5, "10", None):
+        with pytest.raises(TypeError):
+            qkd_simulate(rounds)
+
+
+def _assert_same_as_per_round(rounds, seed, checks=None, again=None):
+    """``qkd_simulate`` and the per-round oracle give equal round logs and
+    reports; ``again`` is a second iterable of the same checks for the oracle,
+    where ``checks`` can only be read once."""
+    ours = qkd_simulate(rounds, seed=seed, eavesdrop_checks=checks)
+    ref = qkd_simulate_per_round(rounds, seed, again if again is not None else checks)
+    assert ours.rounds == ref.rounds, (rounds, seed)
+    assert ours.render() == ref.render(), (rounds, seed)
+
+
+def test_qkd_simulate_matches_per_round_loop():
+    for seed in range(50):
+        for rounds in (1, 2, 3, 7, 500, 4097, 10000):
+            _assert_same_as_per_round(rounds, seed)
+
+
+def test_qkd_simulate_matches_per_round_loop_across_chunks(monkeypatch):
+    # 7-round chunks: words left after each chunk are carried over, and a
+    # chunk whose words run short draws more
+    from zxcalc import protocols
+
+    monkeypatch.setattr(protocols, "_CHUNK", 7)
+    for seed in range(50):
+        for rounds in (1, 2, 3, 7, 500) if seed >= 10 else (1, 2, 3, 7, 500, 4097, 10000):
+            _assert_same_as_per_round(rounds, seed)
+        checks = [3, 3, -1, 6, 7, 8, 13, 14, 499, 500, 10**9]
+        _assert_same_as_per_round(500, seed, iter(checks), checks)
+
+
+def test_qkd_simulate_eavesdrop_checks_as_the_per_round_loop():
+    checks = list(range(-50, 3000, 3)) + list(range(0, 3000, 7)) + [10**12, -(10**12)]
+    for seed in range(5):
+        # a generator is read once; duplicates, negatives and indices past
+        # the last round mark nothing extra
+        _assert_same_as_per_round(2000, seed, (r for r in checks), checks)
+    report = qkd_simulate(2000, seed=0, eavesdrop_checks=(r for r in checks))
+    assert report.stats["sacrificed_rounds"] > 0
+
+
+def test_qkd_simulate_memory_does_not_grow_with_rounds():
+    import sys
+    import tracemalloc
+
+    qkd_simulate(10)  # imports and first-call caches
+    for rounds in (10000, 200000):
+        tracemalloc.start()
+        try:
+            report = qkd_simulate(rounds, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond_log = peak - sys.getsizeof(report.rounds)
+        assert beyond_log < 1.5e6, (rounds, beyond_log)
 
 
 # sha256 of qkd_simulate(2000, seed=7).render() and qkd_check_lemmas().render(),

@@ -505,6 +505,20 @@ def test_value_below_float_range_is_refused_not_zeroed():
         evaluate(d)
 
 
+def test_subnormal_value_is_refused():
+    # 2^-1050 W has amplitudes near 4e-317: subnormal, with fewer significant
+    # bits, so its Born probabilities would read differently from W's
+    d = w_state()
+    d.scalar = Scalar(-2100)
+    with pytest.raises(ResourceLimitError, match="the value is out of floating-point range"):
+        evaluate(d)
+    with pytest.raises(ResourceLimitError, match="the value is out of floating-point range"):
+        born_probability(d, ["x+", "x-", "z-"])
+    d.scalar = Scalar(-2040)  # 2^-1020 W: its largest amplitude is normal
+    assert np.abs(evaluate(d)).max() > 0
+    assert born_probability(d, ["x+", "x-", "z-"]) == born_probability(w_state(), ["x+", "x-", "z-"])
+
+
 def test_long_ladder_is_identity():
     m = evaluate(_ladder(200))
     # the scalar is 2**-100, below any absolute tolerance: compare normalised
@@ -619,9 +633,9 @@ def test_born_w_state_values():
 
 def test_born_probability_is_scale_invariant():
     """The state's scale changes no bit of the probability: 2^-50 W once read
-    as a zero-norm state, and 2^800 W overflowed when squared.  2^-1050 W has
-    subnormal amplitudes."""
-    for power in (0, 100, -100, 1600, -1600, -2100):  # the scalar is sqrt(2)^power
+    as a zero-norm state, and 2^800 W overflowed when squared.  2^-1020 W is
+    the smallest such scale whose largest amplitude is still a normal float."""
+    for power in (0, 100, -100, 1600, -1600, -2040):  # the scalar is sqrt(2)^power
         w = w_state()
         w.scalar = Scalar(power)
         assert born_probability(w, ["z+", "z+", "z-"]) == 1 / 3, power
