@@ -437,7 +437,7 @@ def _draw_cells(rng: random.Random, rounds: int, sums: np.ndarray):
         top = np.flatnonzero(accepted)  # the words choice() takes, by rank
         third = top[2:]  # the last of them in the round at each rank
         whole = np.searchsorted(third, len(words) - 2)  # ranks whose round has its words
-        step = np.arange(len(top) + 1)  # the others stay put
+        step = np.arange(len(top) + 1)  # a rank whose round runs past the words stays put
         step[:whole] += 3 + accepted[third[:whole] + 1] + accepted[third[:whole] + 2]
         orbit = np.zeros(1, dtype=step.dtype)
         while len(orbit) <= need:
@@ -450,7 +450,7 @@ def _draw_cells(rng: random.Random, rounds: int, sums: np.ndarray):
         # rows of sums are nondecreasing, so counting entries <= u is bisect_right
         yield np.minimum((sums[basis] <= u[:, None]).sum(1), 7) + 8 * basis
         rounds -= done
-        words = words[np.append(top, len(words))[orbit[done]] :]
+        words = words[np.append(top, len(words))[orbit[done]] :]  # from the next round's rank
 
 
 def qkd_simulate(
