@@ -26,12 +26,11 @@ counter and are never reused, so they recover the insertion order that
 :attr:`Diagram.edges` reports and evaluation reads the edges in.  So
 ``degree``, ``incident``, ``neighbors``, ``edge_count`` and ``self_loops``
 cost O(degree), and answer for an unknown vertex as for an isolated one.
-The per-vertex maps are replaced, never mutated, so ``copy`` shares them.
 
-Construction methods (``add_vertex``, ``add_edge``) mutate in place;
-everything that combines or transforms whole diagrams (``compose``,
-``tensor``, ``plugged``, rewrite application) returns a new value and leaves
-its operands untouched.
+``add_vertex``, ``add_edge`` and the removals edit the maps they touch in
+place, and ``copy`` copies every vertex's map; everything that combines or
+transforms whole diagrams (``compose``, ``tensor``, ``plugged``, rewrite
+application) returns a new value and leaves its operands untouched.
 """
 
 from __future__ import annotations
@@ -145,11 +144,8 @@ class Diagram:
         """Append the edge a-b under a fresh id, unchecked."""
         e = self._next_edge
         self._next_edge += 1
-        if a == b:
-            self._inc[a] = {**self._inc[a], e: a, ~e: a}
-        else:
-            self._inc[a] = {**self._inc[a], e: b}
-            self._inc[b] = {**self._inc[b], e: a}
+        self._inc[a][e] = b
+        self._inc[b][~e if a == b else e] = a
 
     def add_input(self, attach_to: Optional[int] = None) -> int:
         """Add a boundary vertex, append it to the inputs, optionally wire it."""
@@ -172,9 +168,9 @@ class Diagram:
             raise InvariantError(f"unknown vertex id {v}")
         del self.types[v]
         self.phases.pop(v, None)
-        for w in set(self._inc.pop(v).values()):
+        for e, w in self._inc.pop(v).items():
             if w != v:
-                self._inc[w] = {e: x for e, x in self._inc[w].items() if x != v}
+                del self._inc[w][e]
         self.inputs = [w for w in self.inputs if w != v]
         self.outputs = [w for w in self.outputs if w != v]
 
@@ -184,8 +180,8 @@ class Diagram:
         e = next((e for e, w in inc.items() if w == b and e >= 0), None)
         if e is None:
             raise InvariantError(f"no edge {a}-{b}")
-        for v in {a, b}:
-            self._inc[v] = {k: w for k, w in self._inc[v].items() if k != e and k != ~e}
+        del inc[e]
+        del self._inc[b][~e if a == b else e]
 
     # ------------------------------------------------------------------
     # queries
@@ -263,7 +259,7 @@ class Diagram:
         d = Diagram()
         d.types = dict(self.types)
         d.phases = dict(self.phases)
-        d._inc = dict(self._inc)  # the per-vertex maps are never mutated
+        d._inc = {v: inc.copy() for v, inc in self._inc.items()}
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
         d._next_id = self._next_id

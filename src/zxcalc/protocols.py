@@ -25,7 +25,9 @@ import numpy as np
 
 from .graph import Diagram, VertexType
 from .phase import Phase
-from .semantics import _born_from_vector, equal_up_to_scalar, evaluate, evaluate_phases
+from .semantics import (
+    DEFAULT_TOLERANCE, _born_from_vector, equal_up_to_scalar, evaluate, evaluate_phases
+)
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -38,11 +40,7 @@ PAULI_NAMES = ("I", "X", "Z", "iY", "minus_iY")
 
 def wire() -> Diagram:
     d = Diagram()
-    i = d.add_vertex(VertexType.BOUNDARY)
-    o = d.add_vertex(VertexType.BOUNDARY)
-    d.add_edge(i, o)
-    d.inputs = [i]
-    d.outputs = [o]
+    d.add_output(d.add_input())
     return d
 
 
@@ -201,7 +199,9 @@ def _sdc_readouts(layers: list[tuple[str, ...]], tol: float) -> list[Optional[in
     return [int(i) if ok else None for i, ok in zip(at[1], mags.max(axis=1) <= tol * top)]
 
 
-def sdc_decode(k: int, table: str = "standard", tol: float = 1e-9) -> tuple[int, int, int]:
+def sdc_decode(
+    k: int, table: str = "standard", tol: float = DEFAULT_TOLERANCE
+) -> tuple[int, int, int]:
     """Measure the k-th GHZ-class state in the GHZ basis and read three bits.
 
     The measured vector must be a computational basis state (all other
@@ -287,7 +287,7 @@ class ProtocolReport:
 # superdense coding verification
 
 
-def sdc_verify_all(tol: float = 1e-9) -> ProtocolReport:
+def sdc_verify_all(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
     """Decode all eight class states under both unitary tables: 16 cases,
     read as phase variants of one template diagram (``_sdc_readouts``)."""
     report = ProtocolReport("sdc-ghz")
@@ -307,7 +307,7 @@ def _pauli_layers(n: int) -> list[tuple[str, ...]]:
     return [mid + (last,) for mid in middles for last in ("I", "X", "iY", "Z")]
 
 
-def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
+def sdc_n_ghz_verify(n: int, tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
     """Superdense coding on the n-qubit GHZ state: all 2^n encodings, phase variants
     of one template (``_sdc_readouts``), must measure to 2^n distinct basis states."""
     if not 3 <= n <= 6:
@@ -334,7 +334,7 @@ def sdc_n_ghz_verify(n: int, tol: float = 1e-9) -> ProtocolReport:
 # QKD with the W state
 
 
-def qkd_check_lemmas(tol: float = 1e-9) -> ProtocolReport:
+def qkd_check_lemmas(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
     """Exact checks behind the protocol.
 
     (a) a z- outcome on any wire breaks the entanglement: the other two
@@ -471,6 +471,9 @@ def qkd_simulate(
     ``eavesdrop_checks`` marks rounds that the security steps of the
     protocol would sacrifice for comparison; they are recorded (and excluded
     from the key) but no adversary is modelled.
+
+    Both rate checks are two-sided 3 sigma bands, so a correct simulator fails
+    each on about 0.27% of seeds; seed 0 at 10,000 rounds fails the basis one.
     """
     if operator.index(rounds) < 1:
         raise ValueError("rounds must be >= 1")

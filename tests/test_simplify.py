@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
 
 from zxcalc.graph import Diagram, VertexType, parse_zxg, serialize_zxg
 from zxcalc.phase import Phase, Scalar
@@ -22,6 +23,7 @@ from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
 
 from oracles import component, exactly_equal, isomorphic, lhs_samples, proportional
+from test_graph import _diagrams
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -186,6 +188,18 @@ def test_simplify_is_exact():
         for strategy in ("safe", "full"):
             out, _ = simplify(d, strategy=strategy)
             assert exactly_equal(evaluate(out), before), serialize_zxg(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams())
+def test_simplify_is_exact_property(d):
+    """The same exactness on drawn diagrams (parallel edges, self-loops, H
+    boxes, a random scalar); a failure shrinks to a minimal .zxg repro."""
+    note(serialize_zxg(d))
+    before = evaluate(d)
+    for strategy, limit in (("safe", 1000), ("full", 100)):
+        out, _ = simplify(d, strategy=strategy, step_limit=limit)
+        assert exactly_equal(evaluate(out), before), strategy
 
 
 class _SnapshotTrace:
