@@ -24,17 +24,23 @@ at ``v`` to its other end, in insertion order (a self-loop ``e`` sits under
 ``e`` and ``~e``, once per end).  Edge ids come from a second monotone
 counter and are never reused, so they recover the insertion order that
 :attr:`Diagram.edges` reports and evaluation reads the edges in.  So
-``degree``, ``incident``, ``neighbors``, ``edge_count`` and ``self_loops``
-cost O(degree), and answer for an unknown vertex as for an isolated one.
+``degree`` costs O(1), ``incident``, ``neighbors`` and ``edge_count`` cost
+O(degree), and all answer for an unknown vertex as for an isolated one.
+Two indexes sit beside the record.  ``_loops`` counts the self-loops of each
+vertex that has one, so ``self_loops`` is one lookup and ``looped`` costs
+O(looped vertices).  ``_by_degree`` files every vertex under its degree for
+the rule matchers' ``_of_degree``; it is built on the first such query, not
+before, and ``copy`` and ``relabeled`` do not carry it.
 
-``add_vertex``, ``add_edge`` and the removals edit the maps they touch in
-place, and ``copy`` copies every vertex's map; everything that combines or
-transforms whole diagrams (``compose``, ``tensor``, ``plugged``, rewrite
-application) returns a new value and leaves its operands untouched.
+``add_vertex``, ``add_edge`` and the removals edit the maps and indexes they
+touch in place, and ``copy`` copies every vertex's map; everything that
+combines or transforms whole diagrams (``compose``, ``tensor``, ``plugged``,
+rewrite application) returns a new value and leaves its operands untouched.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from operator import countOf
 from types import MappingProxyType
@@ -103,6 +109,8 @@ class Diagram:
         self.types: dict[int, VertexType] = {}
         self.phases: dict[int, Phase] = {}
         self._inc: dict[int, dict[int, int]] = {}
+        self._loops: dict[int, int] = {}  # self-loops per vertex, for those with any
+        self._by_degree: Optional[defaultdict[int, set[int]]] = None  # built on first use
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self._next_id = 0
@@ -121,6 +129,8 @@ class Diagram:
         self._next_id += 1
         self.types[v] = ty
         self._inc[v] = {}
+        if self._by_degree is not None:
+            self._by_degree[0].add(v)
         if phase is not None:
             self.phases[v] = phase
         return v
@@ -144,8 +154,24 @@ class Diagram:
         """Append the edge a-b under a fresh id, unchecked."""
         e = self._next_edge
         self._next_edge += 1
-        self._inc[a][e] = b
-        self._inc[b][~e if a == b else e] = a
+        inc = self._inc[a]
+        inc[e] = b
+        if a == b:
+            inc[~e] = a
+            self._loops[a] = self._loops.get(a, 0) + 1
+            if self._by_degree is not None:
+                self._regrade(a, len(inc), 2)
+        else:
+            self._inc[b][e] = a
+            if self._by_degree is not None:
+                self._regrade(a, len(inc), 1)
+                self._regrade(b, len(self._inc[b]), 1)
+
+    def _regrade(self, v: int, degree: int, change: int) -> None:
+        """Refile v, whose degree just moved by ``change`` to ``degree``."""
+        by_degree = self._by_degree
+        by_degree[degree - change].remove(v)
+        by_degree[degree].add(v)
 
     def add_input(self, attach_to: Optional[int] = None) -> int:
         """Add a boundary vertex, append it to the inputs, optionally wire it."""
@@ -168,9 +194,17 @@ class Diagram:
             raise InvariantError(f"unknown vertex id {v}")
         del self.types[v]
         self.phases.pop(v, None)
-        for e, w in self._inc.pop(v).items():
+        self._loops.pop(v, None)
+        inc = self._inc.pop(v)
+        by_degree = self._by_degree
+        if by_degree is not None:
+            by_degree[len(inc)].remove(v)
+        for e, w in inc.items():
             if w != v:
-                del self._inc[w][e]
+                other = self._inc[w]
+                del other[e]
+                if by_degree is not None:
+                    self._regrade(w, len(other), -1)
         self.inputs = [w for w in self.inputs if w != v]
         self.outputs = [w for w in self.outputs if w != v]
 
@@ -181,7 +215,19 @@ class Diagram:
         if e is None:
             raise InvariantError(f"no edge {a}-{b}")
         del inc[e]
-        del self._inc[b][~e if a == b else e]
+        if a == b:
+            del inc[~e]
+            loops = self._loops.pop(a) - 1
+            if loops:
+                self._loops[a] = loops
+            if self._by_degree is not None:
+                self._regrade(a, len(inc), -2)
+        else:
+            other = self._inc[b]
+            del other[e]
+            if self._by_degree is not None:
+                self._regrade(a, len(inc), -1)
+                self._regrade(b, len(other), -1)
 
     # ------------------------------------------------------------------
     # queries
@@ -217,15 +263,24 @@ class Diagram:
         return sorted(w for w in self._inc.get(v, _NO_EDGES).values() if w != v)
 
     def edge_count(self, a: int, b: int) -> int:
-        ends = countOf(self._inc.get(a, _NO_EDGES).values(), b)
-        return ends // 2 if a == b else ends
+        if a == b:
+            return self._loops.get(a, 0)
+        return countOf(self._inc.get(a, _NO_EDGES).values(), b)
 
     def self_loops(self, v: int) -> int:
-        return countOf(self._inc.get(v, _NO_EDGES).values(), v) // 2
+        return self._loops.get(v, 0)
 
     def looped(self) -> list[int]:
         """The vertices carrying a self-loop, ascending."""
-        return sorted(v for v, inc in self._inc.items() if v in inc.values())
+        return sorted(self._loops)
+
+    def _of_degree(self, k: int) -> list[int]:
+        """The vertices of degree k, ascending; the first call builds the index."""
+        if self._by_degree is None:
+            self._by_degree = defaultdict(set)
+            for v, inc in self._inc.items():
+                self._by_degree[len(inc)].add(v)
+        return sorted(self._by_degree.get(k, ()))
 
     # ------------------------------------------------------------------
     # validation
@@ -260,6 +315,7 @@ class Diagram:
         d.types = dict(self.types)
         d.phases = dict(self.phases)
         d._inc = {v: inc.copy() for v, inc in self._inc.items()}
+        d._loops = dict(self._loops)
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
         d._next_id = self._next_id
@@ -277,6 +333,7 @@ class Diagram:
         d._inc = {
             mapping[v]: {e: mapping[w] for e, w in inc.items()} for v, inc in self._inc.items()
         }
+        d._loops = {mapping[v]: k for v, k in self._loops.items()}
         d.inputs = [mapping[v] for v in self.inputs]
         d.outputs = [mapping[v] for v in self.outputs]
         d._next_id = max(d.types, default=-1) + 1

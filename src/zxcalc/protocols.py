@@ -26,7 +26,7 @@ import numpy as np
 from .graph import Diagram, VertexType
 from .phase import Phase
 from .semantics import (
-    DEFAULT_TOLERANCE, _born_from_vector, equal_up_to_scalar, evaluate, evaluate_phases
+    DEFAULT_TOLERANCE, _born_scaled, _scaled_state, equal_up_to_scalar, evaluate, evaluate_phases
 )
 
 Z, X = VertexType.Z, VertexType.X
@@ -355,7 +355,7 @@ def qkd_check_lemmas(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
         verdict = equal_up_to_scalar(rest.reshape(-1, 1), zero_zero.reshape(-1, 1), tol)
         report.add(f"z-minus wire {wire_idx} -> |00>", True, verdict.equal, verdict.equal)
 
-    w_vec = evaluate(w).reshape(-1)
+    w_scaled = _scaled_state(evaluate(w).reshape(-1))
     for decider in range(3):
         others = [k for k in range(3) if k != decider]
         for s2 in "+-":
@@ -364,7 +364,7 @@ def qkd_check_lemmas(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
                 labels[decider] = "z+"
                 labels[others[0]] = f"x{s2}"
                 labels[others[1]] = f"x{s3}"
-                p = _born_from_vector(w_vec, labels)
+                p = _born_scaled(*w_scaled, labels)
                 if s2 == s3:
                     ok = p > tol
                     report.add(
@@ -389,14 +389,16 @@ _ACCEPTED_PATTERNS = {("z", "x", "x"), ("x", "z", "x"), ("x", "x", "z")}
 
 
 def _round_table(
-    w_vec: np.ndarray, bases: tuple[str, str, str]
+    w_scaled: tuple[np.ndarray, float], bases: tuple[str, str, str]
 ) -> tuple[list[float], list[tuple[QkdRound, tuple[int, ...]]]]:
     """For a basis triple, the running Born sums of the eight sign patterns (in
-    order, added one at a time), and each one's round record and non-deciders."""
+    order, added one at a time), and each one's round record and non-deciders.
+    ``w_scaled`` is the W state as :func:`~zxcalc.semantics._scaled_state`
+    gives it, so the eight tables scale it and take its norm only once."""
     sums, records, acc = [], [], 0.0
     for bits in range(8):
         signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
-        acc += _born_from_vector(w_vec, [bases[k] + signs[k] for k in range(3)])
+        acc += _born_scaled(*w_scaled, [bases[k] + signs[k] for k in range(3)])
         sums.append(acc)
         records.append(_round_record(bases, signs))
     return sums, [(r, tuple(k for k in range(3) if k != r.decider)) for r in records]
@@ -477,8 +479,8 @@ def qkd_simulate(
     """
     if operator.index(rounds) < 1:
         raise ValueError("rounds must be >= 1")
-    w_vec = evaluate(w_state()).reshape(-1)
-    tables = [_round_table(w_vec, bases) for bases in product("zx", repeat=3)]
+    w_scaled = _scaled_state(evaluate(w_state()).reshape(-1))
+    tables = [_round_table(w_scaled, bases) for bases in product("zx", repeat=3)]
     cells = [entry for _, entries in tables for entry in entries]  # (record, non-deciders)
     records = [record for record, _ in cells]
     keyed = np.array([record.shared_bit is not None for record in records])

@@ -22,7 +22,10 @@ supplies four parts:
   over-approximate (it prunes only by adjacency, neighbour counts, vertex
   order, whether a vertex is a spider and its colour), but it must never
   miss a match.  A :class:`Match` is built only for what passes those
-  checks, read straight off the incidence map;
+  checks, read straight off the incidence map.  Rules anchored on a degree
+  (S2a, the point copies, K2, B2, D1, E) or on self-loops (S2b, D2) start
+  from the diagram's degree index and self-loop counts, so they visit only
+  the vertices that can anchor a match, not every vertex;
 * ``holds(d, m)`` is the single statement of the left-hand side.  Roles
   that the rule treats symmetrically are named in ascending vertex order,
   so a mirrored match does not hold;
@@ -107,9 +110,10 @@ def _others(d: Diagram, v: int) -> list[int]:
 
 def _around(d: Diagram, degree: int) -> Iterator[tuple[int, list[int]]]:
     """Each spider of the given degree, ascending, with its distinct other
-    neighbours, ascending."""
+    neighbours, ascending.  The diagram's degree index lists the vertices of
+    that degree, so no other vertex is visited."""
     types = d.types
-    found = sorted(v for v, inc in d._inc.items() if len(inc) == degree and types[v].is_spider())
+    found = [v for v in d._of_degree(degree) if types[v].is_spider()]
     return ((v, _others(d, v)) for v in found)
 
 
@@ -121,7 +125,7 @@ def _linked_pairs(d: Diagram, same_colour: bool) -> Iterator[tuple[int, int]]:
         ty = types[u]
         if ty.is_spider():
             want = ty if same_colour else ty.opposite
-            for v in sorted({w for w in d._inc[u].values() if w > u and types[w] is want}):
+            for v in sorted(w for w in set(d._inc[u].values()) if w > u and types[w] is want):
                 yield u, v
 
 
@@ -621,12 +625,13 @@ class ColorChangeBackwardRule(RewriteRule):
         if d.types.get(v) is not _Z or not hs:
             return False
         legs = tuple(w for w in _legs(d, v) if w != v)
-        # each H is joined to v once and its other leg leaves v: an H that
-        # loops back onto v is an unverified shape
+        # each H is joined to v once and its other leg leaves the match: an
+        # H that loops back onto v, alone or through another of the H's, is
+        # an unverified shape
         return legs == hs and all(
             d.types[h] is _H
             and d.edge_count(v, h) == 1
-            and sum(u != v for u in d.neighbors(h)) == 1
+            and sum(u != v and u not in hs for u in d.neighbors(h)) == 1
             for h in hs
         )
 
@@ -708,10 +713,8 @@ class ScalarLoopRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
         types = d.types
-        isolated = sorted(
-            v for v, inc in d._inc.items() if types[v].is_spider() and set(inc.values()) <= {v}
-        )
-        return (_match(self.name, vertex=v) for v in isolated)
+        bare = d._of_degree(0) + [v for v in d.looped() if d.degree(v) == 2 * d.self_loops(v)]
+        return (_match(self.name, vertex=v) for v in sorted(bare) if types[v].is_spider())
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]

@@ -334,21 +334,25 @@ def born_probability(state: Diagram, effects) -> float:
         raise ValueError(
             f"{len(state.outputs)} output wires but {len(effects)} effects"
         )
-    return _born_from_vector(evaluate(state).reshape(-1), effects)
+    return _born_scaled(*_scaled_state(evaluate(state).reshape(-1)), effects)
 
 
-def _born_from_vector(vec: np.ndarray, effects: list) -> float:
-    """:func:`born_probability` on the flat vector of an evaluated state.
-    Only a state whose every amplitude is 0 has zero norm; any other is first
-    scaled by the power of two that brings its largest magnitude into
-    [0.5, 1), exactly, so the result does not depend on the state's scale."""
+def _scaled_state(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    """A flat state vector scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), exactly, and its squared norm, so Born values
+    do not depend on the state's scale.  Only a state whose every amplitude
+    is 0 has zero norm."""
     peak = float(np.abs(vec).max())
     if peak == 0:
         raise ValueError("state has zero norm")
     # 2^1023, the largest power of two a float holds, already lifts a
     # subnormal peak into the normal range
     vec = vec * math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))
-    norm_sq = float(np.real(np.vdot(vec, vec)))
+    return vec, float(np.real(np.vdot(vec, vec)))
+
+
+def _born_scaled(vec: np.ndarray, norm_sq: float, effects: list) -> float:
+    """The Born value of ``effects`` on a state that :func:`_scaled_state` gave."""
     bra = np.asarray(1.0 + 0j)
     for label in effects:
         try:

@@ -174,13 +174,13 @@ def qkd_simulate_per_round(rounds: int, seed: int = 0, eavesdrop_checks=None):
     """:func:`zxcalc.protocols.qkd_simulate` drawn a round at a time: three
     ``rng.choice("zx")`` calls, then ``bisect_right`` of ``rng.random()`` into
     the basis triple's running Born sums.  The same report, by another route."""
-    from zxcalc.protocols import ProtocolReport, _round_table, evaluate, w_state
+    from zxcalc.protocols import ProtocolReport, _round_table, _scaled_state, evaluate, w_state
 
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     rng = random.Random(seed)
-    w_vec = evaluate(w_state()).reshape(-1)
-    tables = {bases: _round_table(w_vec, bases) for bases in product("zx", repeat=3)}
+    w_scaled = _scaled_state(evaluate(w_state()).reshape(-1))
+    tables = {bases: _round_table(w_scaled, bases) for bases in product("zx", repeat=3)}
     sacrificial = set(eavesdrop_checks or ())
 
     n_basis_accepted = n_decider_plus = n_unequal = n_sacrificed = 0

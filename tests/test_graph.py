@@ -15,6 +15,7 @@ from zxcalc.graph import (
     to_dot,
 )
 from zxcalc.phase import Phase, Scalar
+from zxcalc.rewrite.rules import BACKWARD, FORWARD, RULE_NAMES, get_rule
 from zxcalc.semantics import evaluate
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
 
@@ -411,17 +412,36 @@ _scalars = st.builds(
 )
 
 
+# every (rule, direction) pair, whose left-hand side _diagrams may embed
+_RULE_PAIRS = [(name, FORWARD) for name in RULE_NAMES] + [
+    (name, BACKWARD) for name in ("S1", "B2", "C")
+]
+
+
 @st.composite
 def _diagrams(draw, arity=None):
     """Spiders with parallel edges and self-loops, H boxes, boundaries and a
-    random Scalar.  The edges go in sorted, as ``serialize_zxg`` writes them:
-    evaluation labels tensor axes in edge insertion order, so only then are
-    the float bytes of the two evaluations, not just their values, equal.
-    ``arity``, an (inputs, outputs) pair, fixes the pins; else they are drawn."""
+    random Scalar.  Half the draws also hold one rule's bare left-hand side
+    (its ``lhs``, from a ``random.Random`` seeded by the draw), each free leg
+    wired to one of the other spiders, so every rule's pattern turns up.
+    The edges go in sorted, as ``serialize_zxg`` writes them: evaluation
+    labels tensor axes in edge insertion order, so only then are the float
+    bytes of the two evaluations, not just their values, equal.  ``arity``,
+    an (inputs, outputs) pair, fixes the pins; else they are drawn."""
     d = Diagram()
     n = draw(st.integers(1, 5))
     spiders = [d.add_vertex(draw(st.sampled_from((Z, X))), draw(_phases)) for _ in range(n)]
     pick = st.sampled_from(spiders)
+    edges = []
+    if draw(st.booleans()):
+        name, direction = draw(st.sampled_from(_RULE_PAIRS))
+        part = Diagram()
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        pool = [Phase(k, 2) for k in range(4)] + [draw(_phases)]  # as the soundness sampler
+        legs = get_rule(name, direction).lhs(part, rng, pool)
+        ids = {v: d.add_vertex(part.types[v], part.phases.get(v)) for v in part.vertices()}
+        edges += [(ids[a], ids[b]) for a, b in part.edges]
+        edges += [(ids[v], draw(pick)) for v in legs]
     hs = [d.add_vertex(VertexType.H) for _ in range(draw(st.integers(0, 2)))]
     if arity is None:
         pins = [
@@ -430,7 +450,7 @@ def _diagrams(draw, arity=None):
         ]
     else:
         pins = [d.add_input() for _ in range(arity[0])] + [d.add_output() for _ in range(arity[1])]
-    edges = [(draw(pick), draw(pick)) for _ in range(draw(st.integers(0, 8)))]
+    edges += [(draw(pick), draw(pick)) for _ in range(draw(st.integers(0, 8)))]
     edges += [(v, draw(pick)) for v in hs + hs + pins]
     for a, b in sorted(tuple(sorted(e)) for e in edges):
         d.add_edge(a, b)

@@ -9,6 +9,7 @@ changed.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -98,6 +99,9 @@ class Shadow:
 
 
 def check_same(d, s):
+    """Every query of d against its shadow; True if the degree index was
+    built here rather than kept up to date by the edits before."""
+    built_here = d._by_degree is None
     assert d.vertices() == sorted(s.types)
     assert d.types == s.types
     assert (d.inputs, d.outputs) == (s.inputs, s.outputs)
@@ -113,6 +117,10 @@ def check_same(d, s):
         for w in {v, unknown[0], *s.neighbors(v)}:
             assert d.edge_count(v, w) == s.edges.count(_key(v, w))
             assert d.edge_count(w, v) == s.edges.count(_key(v, w))
+    degrees = {v: s.degree(v) for v in s.types}
+    for k in range(max(degrees.values(), default=0) + 2):
+        assert d._of_degree(k) == sorted(v for v, n in degrees.items() if n == k)
+    return built_here
 
 
 # ----------------------------------------------------------------------
@@ -228,13 +236,16 @@ _LOCAL = [op_add_vertex, op_add_pin, op_add_wire, op_add_edge, op_remove_edge, o
 
 
 def _run(seed, steps=60):
-    """The final pool, and how many loops the compositions closed."""
+    """The final pool, and a tally of what the run did: each kind of
+    operation, the loops the compositions closed, and the checks that built
+    a degree index (``index_built``) or found one kept up (``index_kept``)."""
     rng = random.Random(seed)
     pool = [(Diagram(), Shadow())]
-    closed = 0
+    seen = Counter()
     for _ in range(steps):
         d, s = rng.choice(pool)
         kind = rng.choices(["local", "copy", "relabeled", "tensor", "compose"], [12, 2, 1, 1, 2])[0]
+        seen[kind] += 1
         if kind == "local":
             weights = [4 if len(s.types) < 25 else 1, 2, 2, 6, 3, 2]
             rng.choices(_LOCAL, weights)[0](d, s, rng)
@@ -253,11 +264,12 @@ def _run(seed, steps=60):
             check_same(e, t)
             pool.append((d.compose(e), s.compose(t)))
             check_same(e, t)  # the operands are untouched
-            closed += len(pool[-1][1].types) - len(s.types) - len(t.types) + 2 * len(s.outputs)
+            grown = len(pool[-1][1].types) - len(s.types) - len(t.types)
+            seen["closed"] += grown + 2 * len(s.outputs)
         pool = pool[-4:]
         for d, s in pool:
-            check_same(d, s)
-    return pool, closed
+            seen["index_built" if check_same(d, s) else "index_kept"] += 1
+    return pool, seen
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -266,17 +278,21 @@ def test_edge_record_matches_flat_edge_list(seed):
 
 
 def test_random_runs_cover_every_shape():
-    """The sequences above do reach self-loops, parallel edges and
-    compositions that close a loop."""
-    loops = parallel = closed = 0
+    """The sequences above do reach self-loops, parallel edges, copies,
+    relabels and compositions that close a loop, and check degree indexes
+    both as first built and as kept up by later edits."""
+    loops = parallel = 0
+    seen = Counter()
     for seed in range(12):
-        pool, closures = _run(seed)
-        closed += closures
+        pool, tally = _run(seed)
+        seen += tally
         for d, _ in pool:
             edges = d.edges
             loops += sum(a == b for a, b in edges)
             parallel += len(edges) - len(set(edges))
-    assert loops > 0 and parallel > 0 and closed > 0
+    assert loops > 0 and parallel > 0
+    for what in ("copy", "relabeled", "tensor", "compose", "closed", "index_built", "index_kept"):
+        assert seen[what] > 0, what
 
 
 def test_unknown_vertex_answers():

@@ -274,6 +274,18 @@ def test_c_backward_requires_h_on_every_leg():
     assert [m for m in get_rule("C", BACKWARD).iter_matches(d) if m["vertex"] == v] == []
 
 
+def test_c_backward_refuses_an_h_pair_that_loops_back():
+    """Two H boxes joined to each other and each once to v: a loop on v
+    through both.  Stripping the first left the second with both legs on v,
+    and ``_rewrite`` raised ``ValueError``; the shape is refused instead."""
+    d = parse_zxg("node v Z 1\nnode a H\nnode b H\nedge v a\nedge v b\nedge a b\n")
+    rule = get_rule("C", BACKWARD)
+    assert list(rule.iter_matches(d)) == []
+    m = next(iter(rule.candidates(d)))
+    with pytest.raises(StaleMatchError):
+        rule.apply(d, m)
+
+
 # ----------------------------------------------------------------------
 # B2
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from operator import countOf
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,78 @@ def test_safe_simplify_matcher_work_is_flat_on_ladders(monkeypatch, n):
     assert len(trace) == 2 * n - 2
     assert calls["FuseRule"] / len(trace) <= 1.1
     assert sum(calls.values()) / len(trace) <= 1.1
+
+
+class _CountingIncidences(dict):
+    """An incidence record that counts the passes over every vertex's map:
+    each call of ``items``, ``values``, ``keys`` or ``iter``."""
+
+    passes = 0
+
+    def _counted(method):
+        def pass_over(self):
+            self.passes += 1
+            return method(self)
+
+        return pass_over
+
+    __iter__ = _counted(dict.__iter__)
+    items = _counted(dict.items)
+    values = _counted(dict.values)
+    keys = _counted(dict.keys)
+    del _counted
+
+
+def test_safe_simplify_makes_no_whole_diagram_pass_per_step(monkeypatch):
+    """The matchers read the degree index and the self-loop counts, not
+    every vertex's incidences: on CNOT ladders the passes over the whole
+    record of simplify's private copy do not grow with the step count."""
+    ladders = {n: _ladder(n) for n in (50, 100, 200)}
+    copy, records = Diagram.copy, []
+
+    def counting_copy(self):
+        d = copy(self)
+        d._inc = _CountingIncidences(d._inc)
+        records.append(d._inc)
+        return d
+
+    monkeypatch.setattr(Diagram, "copy", counting_copy)
+    passes = {}
+    for n, d in ladders.items():
+        records.clear()
+        _, trace = simplify(d)
+        assert len(trace) == 2 * n - 2
+        passes[n] = sum(r.passes for r in records)
+    assert passes[50] == passes[100] == passes[200] <= 1, passes
+
+
+def _assert_indexes_match_incidences(d):
+    loops = {v: countOf(inc.values(), v) // 2 for v, inc in d._inc.items()}
+    assert d.looped() == sorted(v for v, k in loops.items() if k)
+    assert all(d.self_loops(v) == k for v, k in loops.items())
+    degrees = {v: len(inc) for v, inc in d._inc.items()}
+    for k in range(max(degrees.values(), default=0) + 2):
+        assert d._of_degree(k) == sorted(v for v, n in degrees.items() if n == k)
+
+
+def test_indexes_stay_exact_through_every_simplify_step(monkeypatch):
+    """After each in-place step of ``simplify`` on the committed samples,
+    ``looped``, ``self_loops`` and the degree index equal what the
+    incidence maps give when recounted."""
+    steps = []
+    rules = {type(get_rule(name)) for name in _SAFE_RULES}
+    rules |= {type(get_rule(name, direction)) for name, direction in _FULL_EXTRA}
+    for cls in rules:
+        def checked(self, d, m, _rewrite=cls._rewrite):
+            _rewrite(self, d, m)
+            _assert_indexes_match_incidences(d)
+            steps.append(m.rule)
+
+        monkeypatch.setattr(cls, "_rewrite", checked)
+    for d in lhs_samples():
+        simplify(d)
+        simplify(d, strategy="full", step_limit=50)
+    assert set(steps) == set(_SAFE_RULES) | {name for name, _ in _FULL_EXTRA}
 
 
 def _untouched_corpus():
