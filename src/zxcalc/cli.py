@@ -7,32 +7,33 @@ only the flags it reads; any other is a usage error.
 Exit codes: 0 on success or verification pass, 1 on verification failure,
 2 on usage, parse or resource errors.  All randomness flows from --seed;
 repeated invocations with the same arguments produce byte-identical output.
+
+Imports: each command imports what it runs inside its ``_cmd_*`` function,
+not at the top of this module, so ``render`` and ``simplify`` start without
+numpy and ``eval`` without the rewrite package.  Building the parser and
+handling errors read only numpy-free modules (``graph``).  This paragraph
+is left out of ``--help``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .graph import (
+    DEFAULT_MAX_QUBITS, DEFAULT_TOLERANCE, DiagramError, ResourceLimitError, parse_zxg, serialize_zxg,
+    to_dot,
+)
 
-from .graph import DiagramError, parse_zxg, serialize_zxg, to_dot
-from .rewrite import (
-    BACKWARD,
-    DERIVATION_NAMES,
-    FORWARD,
-    RULE_NAMES,
-    ReplayError,
-    Trace,
-    check_soundness,
-    get_rule,
-    replay_derivation,
-    simplify,
-)
-from .semantics import (
-    DEFAULT_MAX_QUBITS, DEFAULT_TOLERANCE, ResourceLimitError, equal_up_to_scalar, evaluate
-)
-from .protocols import qkd_check_lemmas, qkd_simulate, sdc_n_ghz_verify, sdc_verify_all
+if TYPE_CHECKING:
+    import numpy as np
+
+# the parser's vocabulary, stated here so that building it loads no rule
+# module; tests/test_imports.py pins these to zxcalc.rewrite's
+_FORWARD, _BACKWARD = "forward", "backward"
+_RULE_NAMES = ("S1", "S2a", "S2b", "B1", "B2", "K1", "K2", "C", "D1", "D2", "E", "HOPF", "A")
+_DERIVATION_NAMES = ("ghz_plug0", "ghz_plug1", "hopf", "qkd_core", "rule_a", "w_plug0", "w_plug1")
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -42,6 +43,8 @@ def _format_complex(z: complex) -> str:
 
 
 def format_matrix(m: np.ndarray) -> str:
+    import numpy as np
+
     rows = []
     for row in np.atleast_2d(m):
         rows.append("  ".join(_format_complex(z) for z in row))
@@ -98,7 +101,7 @@ _FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zxcalc", description=__doc__)
+    parser = _Parser(prog="zxcalc", description=__doc__ and __doc__.partition("\n\nImports:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(parent, name, flags, **kwargs):
@@ -115,21 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
 
     p = command(sub, "rewrite", ["--trace"], help="apply a named rule at its first match")
-    p.add_argument("rule", choices=RULE_NAMES)
+    p.add_argument("rule", choices=_RULE_NAMES)
     p.add_argument("file")
-    p.add_argument("--direction", choices=(FORWARD, BACKWARD), default=FORWARD)
+    p.add_argument("--direction", choices=(_FORWARD, _BACKWARD), default=_FORWARD)
 
     p = command(sub, "simplify", ["--steps", "--trace"], help="normalise a diagram")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("safe", "full"), default="safe")
 
     p = command(sub, "soundness", ["--tol", "--seed"], help="randomized rule soundness check")
-    p.add_argument("rule", choices=RULE_NAMES)
-    p.add_argument("--direction", choices=(FORWARD, BACKWARD), default=FORWARD)
+    p.add_argument("rule", choices=_RULE_NAMES)
+    p.add_argument("--direction", choices=(_FORWARD, _BACKWARD), default=_FORWARD)
     p.add_argument("--samples", type=int, default=200)
 
     p = command(sub, "derivations", ["--trace"], help="replay scripted derivations")
-    p.add_argument("name", nargs="?", choices=DERIVATION_NAMES)
+    p.add_argument("name", nargs="?", choices=_DERIVATION_NAMES)
 
     p = sub.add_parser("verify", help="run a protocol verifier")  # flags follow the protocol
     v = p.add_subparsers(dest="protocol", required=True)
@@ -150,12 +153,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import evaluate
+
     d = _read_diagram(args.file)
     print(format_matrix(evaluate(d, max_qubits=args.max_qubits)))
     return PASS
 
 
 def _cmd_equal(args) -> int:
+    from .semantics import equal_up_to_scalar, evaluate
+
     a = evaluate(_read_diagram(args.file_a), max_qubits=args.max_qubits)
     b = evaluate(_read_diagram(args.file_b), max_qubits=args.max_qubits)
     if a.shape != b.shape:
@@ -171,6 +178,8 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
+    from .rewrite import Trace, get_rule
+
     d = _read_diagram(args.file)
     rule = get_rule(args.rule, args.direction)
     m = next(rule.iter_matches(d), None)
@@ -185,6 +194,8 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    from .rewrite import simplify
+
     d = _read_diagram(args.file)
     out, trace = simplify(d, strategy=args.strategy, step_limit=args.steps)
     _write_trace(trace, args.trace)
@@ -194,6 +205,8 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_soundness(args) -> int:
+    from .rewrite import check_soundness, get_rule
+
     rule = get_rule(args.rule, args.direction)
     report = check_soundness(rule, samples=args.samples, seed=args.seed, tol=args.tol)
     print(report.render())
@@ -201,7 +214,9 @@ def _cmd_soundness(args) -> int:
 
 
 def _cmd_derivations(args) -> int:
-    names = (args.name,) if args.name else DERIVATION_NAMES
+    from .rewrite import ReplayError, replay_derivation
+
+    names = (args.name,) if args.name else _DERIVATION_NAMES
     rendered = []
     code = PASS
     for name in names:
@@ -224,6 +239,8 @@ def _cmd_derivations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .protocols import qkd_check_lemmas, qkd_simulate, sdc_n_ghz_verify, sdc_verify_all
+
     if args.protocol == "sdc-ghz":
         if args.n is not None:
             report = sdc_n_ghz_verify(args.n, tol=args.tol)

@@ -48,9 +48,18 @@ from typing import Optional
 
 from .phase import Phase, Scalar
 
+# evaluation's defaults and refusal live here, beside DiagramError, so that
+# the CLI's parser and error handler read them without importing numpy
+DEFAULT_MAX_QUBITS = 14
+DEFAULT_TOLERANCE = 1e-9
+
 
 class DiagramError(Exception):
     """Base class for structural errors on diagrams."""
+
+
+class ResourceLimitError(Exception):
+    """An evaluation would exceed the qubit cap or the floating-point range."""
 
 
 class InvariantError(DiagramError):

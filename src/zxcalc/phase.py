@@ -7,7 +7,10 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Phase:
@@ -22,6 +25,8 @@ class Phase:
 
     def __init__(self, num: int | Fraction = 0, den: int = 1):
         if type(num) is not int or type(den) is not int or den <= 0:  # not the common case
+            from fractions import Fraction  # imported here: the int path never needs it
+
             # numpy ints become plain ints, whose arithmetic cannot overflow
             num = num if isinstance(num, Fraction) else operator.index(num)
             den = den if isinstance(den, Fraction) else operator.index(den)
@@ -45,6 +50,8 @@ class Phase:
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def is_zero(self) -> bool:

@@ -1,4 +1,12 @@
-"""Sound graph rewriting: the executable rule set, strategies, and replays."""
+"""Sound graph rewriting: the executable rule set, strategies, and replays.
+
+This package imports all four of its modules eagerly, and none of them
+imports numpy, ``semantics`` or ``protocols`` at module level:
+``soundness`` and ``derivations`` import those when called.  So ``import
+zxcalc.rewrite`` loads no numpy, and it leaves every rewrite module in
+``sys.modules``, where the benchmark's tracer (``bench/tracer.py``) looks
+them up by name.
+"""
 
 from .rules import (
     FORWARD,

@@ -22,14 +22,15 @@ re-checks every match before rewriting.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from ..graph import Diagram, VertexType
+from ..graph import DEFAULT_TOLERANCE, Diagram, VertexType
 from ..phase import Phase
-from ..protocols import ghz_state, w_state
-from ..semantics import DEFAULT_TOLERANCE, equal_up_to_scalar, evaluate
 from .rules import BACKWARD, _match, get_rule, unfuse_match
 from .simplify import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -75,8 +76,20 @@ def _rule_a_start() -> Diagram:
     return d
 
 
+# The start states come from protocols, and the checks from semantics, both
+# imported at call time: importing this module (and so zxcalc.rewrite) loads
+# no numpy.
+def _ghz_plugged(point: str) -> Diagram:
+    """The GHZ state with ``point`` plugged into its first output."""
+    from ..protocols import ghz_state
+
+    return ghz_state().plugged("output", 0, point)
+
+
 def _w_plugged(*points: str) -> Diagram:
     """The W state with ``points`` plugged into its outputs in order."""
+    from ..protocols import w_state
+
     d = w_state()
     for point in points:
         d = d.plugged("output", 0, point)
@@ -100,7 +113,7 @@ _W_PLUG0 = [
 ]
 
 
-# Each entry: (builder, steps, expected matrix up to scalar).
+# Each entry: (builder, steps, expected matrix up to scalar, as rows).
 _DERIVATIONS: dict[str, tuple] = {
     # Z(0)=X(0) pair joined twice; unfuse both spiders, disconnect the inner
     # pair, fuse the halves back: the wire splits into a point pair.
@@ -114,7 +127,7 @@ _DERIVATIONS: dict[str, tuple] = {
             _s1(4, 8),
             _s1(5, 9),
         ],
-        np.array([[1, 1], [0, 0]], dtype=complex),
+        ((1, 1), (0, 0)),
     ),
     # X(pi) point on a Z(a) spider: detach the phase as a point, pi-copy
     # through the now-free spider, drop the closed scalar pair.
@@ -125,22 +138,22 @@ _DERIVATIONS: dict[str, tuple] = {
             _k1(1, 0),  # pi-copy: points 5, 6, 7
             _d1(4, 7),  # closed scalar pair vanishes
         ],
-        np.array([0, 0, 0, 1], dtype=complex).reshape(4, 1),
+        ((0,), (0,), (0,), (1,)),
     ),
     "ghz_plug0": (
-        lambda: ghz_state().plugged("output", 0, "z+"),
+        lambda: _ghz_plugged("z+"),
         [_b1(1, 0)],
-        np.array([1, 0, 0, 0], dtype=complex).reshape(4, 1),
+        ((1,), (0,), (0,), (0,)),
     ),
     "ghz_plug1": (
-        lambda: ghz_state().plugged("output", 0, "z-"),
+        lambda: _ghz_plugged("z-"),
         [_k1(1, 0)],
-        np.array([0, 0, 0, 1], dtype=complex).reshape(4, 1),
+        ((0,), (0,), (0,), (1,)),
     ),
     "w_plug0": (
         lambda: _w_plugged("z+"),
         _W_PLUG0,
-        np.array([0, 1, 1, 0], dtype=complex).reshape(4, 1),
+        ((0,), (1,), (1,), (0,)),
     ),
     # z- pushes a pi through the same structure; the parity spider absorbs
     # it and drops out, disconnecting wire 1 entirely.
@@ -157,7 +170,7 @@ _DERIVATIONS: dict[str, tuple] = {
             _s1(4, 8),
             _s1(1, 2),  # wires 2 and 3 fuse
         ],
-        np.array([1, 0, 0, 0], dtype=complex).reshape(4, 1),
+        ((1,), (0,), (0,), (0,)),
     ),
     # Full measured round: the decider gets z+ on wire 1 and both x
     # measurements read x- (equal).  After w_plug0's steps the diagram
@@ -175,7 +188,7 @@ _DERIVATIONS: dict[str, tuple] = {
             _k2(6, 9),  # and commutes onto a gadget point
             _s1(9, 10),  # phases cancel: the scalar Z(0)
         ],
-        np.array([[1]], dtype=complex),
+        ((1,),),
     ),
 }
 
@@ -184,7 +197,9 @@ DERIVATION_NAMES = tuple(sorted(_DERIVATIONS))
 
 def expected_final(name: str) -> np.ndarray:
     """The paper-level closed form the replay must reach, up to scalar."""
-    return _DERIVATIONS[name][2].copy()
+    import numpy as np
+
+    return np.array(_DERIVATIONS[name][2], dtype=complex)
 
 
 def replay_derivation(name: str) -> Trace:
@@ -194,12 +209,17 @@ def replay_derivation(name: str) -> Trace:
     final diagram against the expected closed form up to a scalar; any
     mismatch, or a step that no longer applies, raises :class:`ReplayError`.
     """
+    import numpy as np
+
+    from ..semantics import equal_up_to_scalar, evaluate
+
     try:
-        builder, steps, expected = _DERIVATIONS[name]
+        builder, steps, _ = _DERIVATIONS[name]
     except KeyError:
         raise ReplayError(
             f"unknown derivation {name!r}; expected one of {DERIVATION_NAMES}"
         ) from None
+    expected = expected_final(name)
     trace = Trace(builder(), list(steps))
     replay = trace.replay()
     _, _, d = next(replay)

@@ -37,10 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import _H, _X, Diagram, VertexType
-
-DEFAULT_MAX_QUBITS = 14
-DEFAULT_TOLERANCE = 1e-9
+from .graph import (  # the defaults and the refusal are re-exported
+    _H, _X, DEFAULT_MAX_QUBITS, DEFAULT_TOLERANCE, Diagram, ResourceLimitError, VertexType
+)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -61,10 +60,6 @@ EFFECT_VECTORS = {
     "x+": np.array([1, 1], dtype=complex) / np.sqrt(2),
     "x-": np.array([1, -1], dtype=complex) / np.sqrt(2),
 }
-
-
-class ResourceLimitError(Exception):
-    """An evaluation would exceed the qubit cap or the floating-point range."""
 
 
 def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
