@@ -24,13 +24,21 @@ at ``v`` to its other end, in insertion order (a self-loop ``e`` sits under
 ``e`` and ``~e``, once per end).  Edge ids come from a second monotone
 counter and are never reused, so they recover the insertion order that
 :attr:`Diagram.edges` reports and evaluation reads the edges in.  So
-``degree`` costs O(1), ``incident``, ``neighbors`` and ``edge_count`` cost
-O(degree), and all answer for an unknown vertex as for an isolated one.
-Two indexes sit beside the record.  ``_loops`` counts the self-loops of each
-vertex that has one, so ``self_loops`` is one lookup and ``looped`` costs
-O(looped vertices).  ``_by_degree`` files every vertex under its degree for
-the rule matchers' ``_of_degree``; it is built on the first such query, not
-before, and ``copy`` and ``relabeled`` do not carry it.
+``degree`` costs O(1), ``incident`` and ``neighbors`` cost O(degree),
+``edge_count`` O(the smaller degree), and all answer for an unknown vertex
+as for an isolated one.
+
+Three indexes sit beside the record.  ``_loops`` counts the self-loops of
+each vertex that has one, so ``self_loops`` is one lookup and ``looped``
+costs O(looped vertices).  For the rule matchers, ``_by_degree`` files
+every vertex under its degree (``_of_degree``), and ``_linked`` files every
+pair of spiders u < v joined by an edge as same-coloured or not
+(``_linked_heap``).  Each of the two kinds of pair also sits in a heap, so
+the least one is at the top; entries that went stale stay in the heap until
+they reach the top, and a heap that is mostly stale is rebuilt.  These two
+are built together in one pass over the record on the first query, not
+before, so parsing pays nothing; ``copy`` and ``relabeled`` carry neither.
+A vertex changes type only through ``_retype``, which refiles its pairs.
 
 ``add_vertex``, ``add_edge`` and the removals edit the maps and indexes they
 touch in place, and ``copy`` copies every vertex's map; everything that
@@ -40,8 +48,9 @@ rewrite application) returns a new value and leaves its operands untouched.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from operator import countOf
 from types import MappingProxyType
 from typing import Optional
@@ -97,6 +106,7 @@ _Z, _X, _H, _BOUNDARY = VertexType.Z, VertexType.X, VertexType.H, VertexType.BOU
 
 # the incidences of a vertex the diagram does not have
 _NO_EDGES: MappingProxyType = MappingProxyType({})
+_KINDS = {ty.value: ty for ty in VertexType}  # a .zxg kind token to its type
 _ONE = Scalar()  # immutable, so every fresh diagram shares it
 
 # The arity-1 spider realising each basis state/effect: z+/z- are X spiders
@@ -111,6 +121,16 @@ _PLUGS = {
 PLUG_POINTS = tuple(_PLUGS)
 
 
+def _heaps_of(linked: dict[tuple[int, int], bool]) -> tuple[list, list]:
+    """The linked pairs as two heaps: opposite colours first, then the same."""
+    heaps: tuple[list, list] = ([], [])
+    for pair, same in linked.items():
+        heaps[same].append(pair)
+    for heap in heaps:
+        heapify(heap)
+    return heaps
+
+
 class Diagram:
     """An open ZX multigraph with ordered interfaces."""
 
@@ -119,7 +139,10 @@ class Diagram:
         self.phases: dict[int, Phase] = {}
         self._inc: dict[int, dict[int, int]] = {}
         self._loops: dict[int, int] = {}  # self-loops per vertex, for those with any
-        self._by_degree: Optional[defaultdict[int, set[int]]] = None  # built on first use
+        # the degree and linked-pair indexes, built together on first use
+        self._by_degree: Optional[defaultdict[int, set[int]]] = None
+        self._linked: Optional[dict[tuple[int, int], bool]] = None
+        self._pair_heaps: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self._next_id = 0
@@ -175,12 +198,26 @@ class Diagram:
             if self._by_degree is not None:
                 self._regrade(a, len(inc), 1)
                 self._regrade(b, len(self._inc[b]), 1)
+                self._refile(a, b)
 
     def _regrade(self, v: int, degree: int, change: int) -> None:
         """Refile v, whose degree just moved by ``change`` to ``degree``."""
         by_degree = self._by_degree
         by_degree[degree - change].remove(v)
         by_degree[degree].add(v)
+
+    def _refile(self, a: int, b: int) -> None:
+        """Refile a pair a != b joined by an edge in the linked-pair index,
+        after that edge was added or a type changed."""
+        key = (a, b) if a < b else (b, a)
+        ta, tb = self.types[a], self.types[b]
+        if (ta is _Z or ta is _X) and (tb is _Z or tb is _X):
+            same = ta is tb
+            if self._linked.get(key) is not same:
+                self._linked[key] = same
+                heappush(self._pair_heaps[same], key)
+        else:
+            self._linked.pop(key, None)
 
     def add_input(self, attach_to: Optional[int] = None) -> int:
         """Add a boundary vertex, append it to the inputs, optionally wire it."""
@@ -214,8 +251,11 @@ class Diagram:
                 del other[e]
                 if by_degree is not None:
                     self._regrade(w, len(other), -1)
-        self.inputs = [w for w in self.inputs if w != v]
-        self.outputs = [w for w in self.outputs if w != v]
+                    self._linked.pop((v, w) if v < w else (w, v), None)
+        if v in self.inputs:
+            self.inputs = [w for w in self.inputs if w != v]
+        if v in self.outputs:
+            self.outputs = [w for w in self.outputs if w != v]
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove one copy of the edge a-b, the one added first."""
@@ -237,6 +277,19 @@ class Diagram:
             if self._by_degree is not None:
                 self._regrade(a, len(inc), -1)
                 self._regrade(b, len(other), -1)
+                if b not in inc.values():
+                    self._linked.pop((a, b) if a < b else (b, a), None)
+
+    def _retype(self, v: int, ty: VertexType, phase: Optional[Phase] = None) -> None:
+        """Give v the type ``ty``, and the phase ``phase`` if one is given,
+        keeping its edges; every type change goes through here, so that the
+        linked-pair index follows it.  No check is made."""
+        self.types[v] = ty
+        if phase is not None:
+            self.phases[v] = phase
+        if self._linked is not None:
+            for w in set(self._inc[v].values()).difference((v,)):
+                self._refile(v, w)
 
     # ------------------------------------------------------------------
     # queries
@@ -272,9 +325,13 @@ class Diagram:
         return sorted(w for w in self._inc.get(v, _NO_EDGES).values() if w != v)
 
     def edge_count(self, a: int, b: int) -> int:
+        """The edges joining a and b, counted at whichever has fewer."""
         if a == b:
             return self._loops.get(a, 0)
-        return countOf(self._inc.get(a, _NO_EDGES).values(), b)
+        inc_a, inc_b = self._inc.get(a, _NO_EDGES), self._inc.get(b, _NO_EDGES)
+        if len(inc_b) < len(inc_a):
+            return countOf(inc_b.values(), a)
+        return countOf(inc_a.values(), b)
 
     def self_loops(self, v: int) -> int:
         return self._loops.get(v, 0)
@@ -284,12 +341,46 @@ class Diagram:
         return sorted(self._loops)
 
     def _of_degree(self, k: int) -> list[int]:
-        """The vertices of degree k, ascending; the first call builds the index."""
+        """The vertices of degree k, ascending."""
         if self._by_degree is None:
-            self._by_degree = defaultdict(set)
-            for v, inc in self._inc.items():
-                self._by_degree[len(inc)].add(v)
+            self._index()
         return sorted(self._by_degree.get(k, ()))
+
+    def _has_degree(self, k: int) -> bool:
+        """Whether some vertex has degree k."""
+        if self._by_degree is None:
+            self._index()
+        return bool(self._by_degree.get(k))
+
+    def _linked_heap(self, same_colour: bool) -> list[tuple[int, int]]:
+        """The heap of spider pairs u < v joined by an edge where v has u's
+        colour (``same_colour``) or the opposite one.  Its stale tops are
+        dropped first, so ``heap[0]``, if any, is the least such pair; the
+        entries below may be stale or repeated."""
+        if self._linked is None:
+            self._index()
+        linked = self._linked
+        if len(self._pair_heaps[0]) + len(self._pair_heaps[1]) > 2 * len(linked) + 16:
+            self._pair_heaps = _heaps_of(linked)  # mostly stale: rebuilt, amortised O(1)
+        heap = self._pair_heaps[same_colour]
+        while heap and linked.get(heap[0]) is not same_colour:
+            heappop(heap)
+        return heap
+
+    def _index(self) -> None:
+        """Build the degree and linked-pair indexes in one pass over the edges."""
+        by_degree: defaultdict[int, set[int]] = defaultdict(set)
+        linked: dict[tuple[int, int], bool] = {}
+        types = self.types
+        for v, inc in self._inc.items():
+            by_degree[len(inc)].add(v)
+            ty = types[v]
+            if ty is _Z or ty is _X:
+                for w in inc.values():
+                    tw = types[w]
+                    if w > v and (tw is _Z or tw is _X):
+                        linked[v, w] = tw is ty
+        self._by_degree, self._linked, self._pair_heaps = by_degree, linked, _heaps_of(linked)
 
     # ------------------------------------------------------------------
     # validation
@@ -419,8 +510,7 @@ class Diagram:
         ty, phase = _PLUGS[point]
         d = self.copy()
         v = seq[position]
-        d.types[v] = ty
-        d.phases[v] = phase
+        d._retype(v, ty, phase)
         if which == "input":
             d.inputs = [w for w in d.inputs if w != v]
         else:
@@ -459,6 +549,7 @@ def parse_zxg(text: str) -> Diagram:
     """
     d = Diagram()
     names: dict[str, int] = {}
+    token_phase: dict[str, Phase] = {}  # one Phase per distinct token: they are immutable
     diamonds: set[str] = set()
     pending_edges: list[tuple[str, str, int]] = []
     pending_io: list[tuple[str, str, int]] = []
@@ -478,11 +569,13 @@ def parse_zxg(text: str) -> Diagram:
             if kind in ("Z", "X"):
                 if len(parts) != 4:
                     raise ParseError(f"{kind} node needs exactly one phase token", lineno)
-                try:
-                    phase = Phase.from_token(parts[3])
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(f"bad phase token {parts[3]!r}", lineno) from None
-                names[name] = d.add_vertex(VertexType(kind), phase)
+                phase = token_phase.get(parts[3])
+                if phase is None:
+                    try:
+                        phase = token_phase[parts[3]] = Phase.from_token(parts[3])
+                    except (ValueError, ZeroDivisionError):
+                        raise ParseError(f"bad phase token {parts[3]!r}", lineno) from None
+                names[name] = d.add_vertex(_KINDS[kind], phase)
             elif kind in ("H", "B", "D"):
                 if len(parts) != 3:
                     raise ParseError(f"{kind} node takes no phase", lineno)
@@ -490,7 +583,7 @@ def parse_zxg(text: str) -> Diagram:
                     diamonds.add(name)
                     d.scalar *= Scalar(1)
                 else:
-                    names[name] = d.add_vertex(VertexType(kind))
+                    names[name] = d.add_vertex(_KINDS[kind])
             else:
                 raise ParseError(f"unknown node kind {kind!r}", lineno)
         elif directive == "edge":
@@ -527,17 +620,17 @@ def parse_zxg(text: str) -> Diagram:
         (d.inputs if which == "inputs" else d.outputs).append(names[name])
 
     # re-check the structural invariants with source names in the messages
-    interface = d.inputs + d.outputs
+    listed = Counter(d.inputs + d.outputs)
     for name, v in names.items():
         ty = d.types[v]
-        if ty is VertexType.H and d.degree(v) != 2:
+        if ty is _H and d.degree(v) != 2:
             raise InvariantError(f"H node {name!r} must have degree 2, has {d.degree(v)}")
-        if ty is VertexType.BOUNDARY:
+        if ty is _BOUNDARY:
             if d.degree(v) != 1:
                 raise InvariantError(
                     f"boundary node {name!r} must have degree 1, has {d.degree(v)}"
                 )
-            if interface.count(v) != 1:
+            if listed[v] != 1:
                 raise InvariantError(
                     f"boundary node {name!r} must appear in exactly one of inputs/outputs"
                 )

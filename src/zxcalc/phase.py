@@ -65,6 +65,8 @@ class Phase:
         return math.pi * self.num / self.den
 
     def __add__(self, other: "Phase") -> "Phase":
+        if not other.num:  # adding zero, as most spider fusions do
+            return self
         return Phase(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "Phase") -> "Phase":

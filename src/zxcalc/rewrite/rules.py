@@ -24,8 +24,9 @@ supplies four parts:
   miss a match.  A :class:`Match` is built only for what passes those
   checks, read straight off the incidence map.  Rules anchored on a degree
   (S2a, the point copies, K2, B2, D1, E) or on self-loops (S2b, D2) start
-  from the diagram's degree index and self-loop counts, so they visit only
-  the vertices that can anchor a match, not every vertex;
+  from the diagram's degree index and self-loop counts, and S1 and HOPF
+  from its linked-pair index, so they visit only what can anchor a match,
+  not every vertex;
 * ``holds(d, m)`` is the single statement of the left-hand side.  Roles
   that the rule treats symmetrically are named in ascending vertex order,
   so a mirrored match does not hold;
@@ -40,9 +41,11 @@ supplies four parts:
 ``iter_matches`` lazily yields the candidates that hold, so matches come
 out deterministically, ascending in their vertex ids taken in the order of
 ``roles``; the first match is ``next(iter_matches(d))`` and costs only the
-candidates before it.  ``apply`` never mutates its input: it raises
-:class:`StaleMatchError` unless the match has this rule's name and roles
-and still holds, then returns a rewritten copy.
+candidates before it.  Where the index a rule reads is empty (S1, S2a,
+S2b, HOPF), ``iter_matches`` returns an empty iterator at once.  ``apply``
+never mutates its input: it raises :class:`StaleMatchError` unless the
+match has this rule's name and roles and still holds, then returns a
+rewritten copy.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _match(rule: str, **data) -> Match:
 
 def _legs(d: Diagram, v: int) -> list[int]:
     """The far end of each edge at v, in insertion order; a self-loop gives v once."""
-    return [b if a == v else a for a, b in d.incident(v)]
+    return [w for e, w in d._inc[v].items() if e >= 0]
 
 
 def _spider(d: Diagram, v: int) -> bool:
@@ -119,14 +122,14 @@ def _around(d: Diagram, degree: int) -> Iterator[tuple[int, list[int]]]:
 
 def _linked_pairs(d: Diagram, same_colour: bool) -> Iterator[tuple[int, int]]:
     """The distinct spider pairs u < v joined by at least one edge, ascending,
-    where v has u's colour (``same_colour``) or the opposite one."""
-    types = d.types
-    for u in d.vertices():
-        ty = types[u]
-        if ty.is_spider():
-            want = ty if same_colour else ty.opposite
-            for v in sorted(w for w in set(d._inc[u].values()) if w > u and types[w] is want):
-                yield u, v
+    where v has u's colour (``same_colour``) or the opposite one, read off
+    the diagram's linked-pair index: the least is the top of its heap, and
+    only a second request sorts the rest."""
+    heap = d._linked_heap(same_colour)
+    if heap:
+        first = heap[0]
+        yield first
+        yield from sorted(p for p, same in d._linked.items() if same is same_colour and p != first)
 
 
 class RewriteRule:
@@ -168,14 +171,28 @@ class RewriteRule:
 # S1: spider fusion
 
 
-class FuseRule(RewriteRule):
+class _LinkedPairRule(RewriteRule):
+    """A rule on two spiders u < v joined by an edge, same-coloured or not:
+    its candidates are the diagram's linked pairs, ascending."""
+
+    roles = ("u", "v")
+    same_colour: bool
+
+    def candidates(self, d: Diagram) -> Iterable[Match]:
+        name = self.name
+        return (Match(name, (("u", u), ("v", v))) for u, v in _linked_pairs(d, self.same_colour))
+
+    def iter_matches(self, d: Diagram) -> Iterator[Match]:
+        if not d._linked_heap(self.same_colour):
+            return iter(())
+        return super().iter_matches(d)
+
+
+class FuseRule(_LinkedPairRule):
     """Adjacent same-colour spiders fuse; phases add, connecting edges vanish."""
 
     name = "S1"
-    roles = ("u", "v")
-
-    def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d, same_colour=True))
+    same_colour = True
 
     def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]
@@ -201,8 +218,10 @@ class FuseRule(RewriteRule):
         legs = _legs(d, v)
         d.remove_vertex(v)
         for w in legs:
-            if w != u:  # connecting edges disappear, a self-loop moves over
-                d.add_edge(u, u if w == v else w)
+            # connecting edges disappear, a self-loop moves over; unchecked,
+            # as u is a spider (no degree cap) and w only swaps v for u
+            if w != u:
+                d._link(u, u if w == v else w)
 
 
 class UnfuseRule(RewriteRule):
@@ -262,7 +281,11 @@ class IdentityRule(RewriteRule):
     roles = ("vertex",)
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, vertex=v) for v, _ in _around(d, 2))
+        types = d.types
+        return (_match(self.name, vertex=v) for v in d._of_degree(2) if types[v].is_spider())
+
+    def iter_matches(self, d: Diagram) -> Iterator[Match]:
+        return super().iter_matches(d) if d._has_degree(2) else iter(())
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
@@ -291,6 +314,9 @@ class LoopRule(RewriteRule):
 
     def candidates(self, d: Diagram) -> Iterable[Match]:
         return (_match(self.name, vertex=v) for v in d.looped())
+
+    def iter_matches(self, d: Diagram) -> Iterator[Match]:
+        return super().iter_matches(d) if d._loops else iter(())
 
     def holds(self, d: Diagram, m: Match) -> bool:
         v = m["vertex"]
@@ -595,12 +621,12 @@ class ColorChangeRule(RewriteRule):
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
         v = m["vertex"]
-        d.types[v] = _Z
         for w in [u for u in _legs(d, v) if u != v]:
             d.remove_edge(v, w)
             h = d.add_vertex(_H)
             d.add_edge(v, h)
             d.add_edge(h, w)
+        d._retype(v, _Z)  # v now has no spider neighbour but itself
 
 
 class ColorChangeBackwardRule(RewriteRule):
@@ -648,7 +674,7 @@ class ColorChangeBackwardRule(RewriteRule):
             (far,) = [u for u in d.neighbors(h) if u != v]
             d.remove_vertex(h)
             d.add_edge(v, far)
-        d.types[v] = _X
+        d._retype(v, _X)
 
 
 # ----------------------------------------------------------------------
@@ -801,14 +827,11 @@ class SupplementarityRule(RewriteRule):
 # HOPF: the derived disconnection rule
 
 
-class HopfRule(RewriteRule):
+class HopfRule(_LinkedPairRule):
     """A Z and an X spider joined by exactly two parallel edges disconnect."""
 
     name = "HOPF"
-    roles = ("u", "v")
-
-    def candidates(self, d: Diagram) -> Iterable[Match]:
-        return (_match(self.name, u=u, v=v) for u, v in _linked_pairs(d, same_colour=False))
+    same_colour = False
 
     def holds(self, d: Diagram, m: Match) -> bool:
         u, v = m["u"], m["v"]

@@ -107,6 +107,10 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
     Each step tries the rules in priority order and applies the first match
     that holds, in candidate order, of the first rule that has one: the
     match ``next(rule.iter_matches(d))``, found without listing the others.
+    The safe rules read it off the indexes the private copy keeps (degree,
+    self-loops, linked pairs), so a rule with nothing indexed costs one
+    lookup and a safe step on a CNOT ladder about the same whatever its
+    length.
     The steps rewrite a private copy of ``d`` in place; ``d`` itself is
     left untouched.  Returns the simplified diagram and its trace, the log
     of the matches taken (see :class:`Trace`), whose replay re-applies

@@ -19,6 +19,7 @@ from zxcalc.rewrite import (
     random_diagram,
     simplify,
 )
+from zxcalc.rewrite.rules import _linked_pairs
 from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, _safe_b1_filter
 from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
@@ -349,6 +350,18 @@ def _assert_indexes_match_incidences(d):
     degrees = {v: len(inc) for v, inc in d._inc.items()}
     for k in range(max(degrees.values(), default=0) + 2):
         assert d._of_degree(k) == sorted(v for v, n in degrees.items() if n == k)
+    spiders = {v for v, ty in d.types.items() if ty.is_spider()}
+    linked = {
+        (v, w): d.types[v] is d.types[w]
+        for v in spiders
+        for w in d._inc[v].values()
+        if w > v and w in spiders
+    }
+    assert d._linked == linked
+    for same in (True, False):
+        pairs = sorted(p for p, s in linked.items() if s is same)
+        assert set(d._pair_heaps[same]) >= set(pairs)  # every pair can reach the top
+        assert list(_linked_pairs(d, same)) == pairs
 
 
 def test_indexes_stay_exact_through_every_simplify_step(monkeypatch):
@@ -369,6 +382,106 @@ def test_indexes_stay_exact_through_every_simplify_step(monkeypatch):
         simplify(d)
         simplify(d, strategy="full", step_limit=50)
     assert set(steps) == set(_SAFE_RULES) | {name for name, _ in _FULL_EXTRA}
+
+
+def test_linked_pair_index_follows_colour_changes_plugs_and_composes(monkeypatch):
+    """Colour changes in place (C forward and backward, and a pin plugged
+    in place through ``_retype``) keep the indexes exact, and so does every
+    in-place simplify step on ``plugged`` and ``compose`` results."""
+    colour_change = get_rule("C"), get_rule("C", BACKWARD)
+    flips = plugs = 0
+    for d in lhs_samples()[::4]:
+        d._of_degree(0)  # build the indexes, then edit under them
+        for rule in colour_change * 2:
+            m = next(rule.iter_matches(d), None)
+            if m is not None:
+                rule._rewrite(d, m)
+                _assert_indexes_match_incidences(d)
+                flips += 1
+        if d.outputs:
+            pin = d.outputs.pop()
+            d._retype(pin, X, Phase.pi())
+            _assert_indexes_match_incidences(d)
+            plugs += 1
+    assert flips > 50 and plugs > 20
+
+    steps = []
+    for cls in {type(get_rule(name)) for name in _SAFE_RULES}:
+        def checked(self, d, m, _rewrite=cls._rewrite):
+            _rewrite(self, d, m)
+            _assert_indexes_match_incidences(d)
+            steps.append(m.rule)
+
+        monkeypatch.setattr(cls, "_rewrite", checked)
+    ghz = ghz_state()
+    for d in (ghz.plugged("output", k, point) for k in range(3) for point in ("z+", "x-")):
+        _assert_indexes_match_incidences(d)
+        simplify(d)
+    for n in (1, 2, 3):
+        simplify(_ladder(n).compose(_ladder(n)))
+    assert {"S1", "B1", "HOPF"} <= set(steps)
+
+
+def _relabeled_text(d, rng):
+    """d's .zxg text with node names permuted and node and edge lines
+    shuffled, as the benchmark's ladder workload feeds it."""
+    lines = serialize_zxg(d).splitlines()
+    nodes = [ln.split() for ln in lines if ln.startswith("node ")]
+    new = dict(zip((p[1] for p in nodes), rng.sample([f"v{k}" for k in range(len(nodes))], len(nodes))))
+    nodes = [" ".join(["node", new[p[1]], *p[2:]]) for p in nodes]
+    rest = [ln.split() for ln in lines if not ln.startswith("node ")]
+    edges = [" ".join([p[0], *map(new.get, p[1:])]) for p in rest if p[0] == "edge"]
+    io = [" ".join([p[0], *map(new.get, p[1:])]) for p in rest if p[0] != "edge"]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return "\n".join(nodes + edges + io) + "\n"
+
+
+def test_safe_simplify_holds_calls_per_step_on_relabeled_ladders(monkeypatch):
+    """With vertex ids in random order, the linked-pair index still hands
+    each safe step its match at once: about one ``holds`` call per step."""
+    ladder = _ladder(59)
+    texts = [_relabeled_text(ladder, random.Random(seed)) for seed in range(3)]
+    calls = []
+    for cls in {type(get_rule(name)) for name in _SAFE_RULES}:
+        def counted(self, d, m, _holds=cls.holds):
+            calls.append(m.rule)
+            return _holds(self, d, m)
+
+        monkeypatch.setattr(cls, "holds", counted)
+    for text in texts:
+        d = parse_zxg(text)
+        assert serialize_zxg(d) != serialize_zxg(ladder)
+        calls.clear()
+        out, trace = simplify(d)
+        assert len(trace) > 100 and out.num_vertices() < d.num_vertices()
+        assert len(calls) / len(trace) <= 1.1, (len(calls), len(trace))
+
+
+def _all_vertex_pairs(d, same_colour):
+    """The linked-pair candidates as they were found before the index: every
+    vertex in id order, then its linked spiders of the wanted colour."""
+    types = d.types
+    for u in d.vertices():
+        ty = types[u]
+        if ty.is_spider():
+            want = ty if same_colour else ty.opposite
+            for v in sorted(w for w in set(d._inc[u].values()) if w > u and types[w] is want):
+                yield u, v
+
+
+def test_linked_pair_candidates_match_the_all_vertex_scan():
+    """On every committed sample the S1 and HOPF candidates, the first one
+    above all, are those of the old scan over every vertex."""
+    found = 0
+    for d in lhs_samples():
+        for rule, same in ((get_rule("S1"), True), (get_rule("HOPF"), False)):
+            expected = list(_all_vertex_pairs(d, same))
+            first = next(rule.candidates(d), None)
+            assert (first and (first["u"], first["v"])) == (expected[0] if expected else None)
+            assert [(m["u"], m["v"]) for m in rule.candidates(d)] == expected
+            found += bool(expected)
+    assert found > 200
 
 
 def _untouched_corpus():
