@@ -26,7 +26,7 @@ import numpy as np
 from .graph import Diagram, VertexType
 from .phase import Phase
 from .semantics import (
-    DEFAULT_TOLERANCE, _born_scaled, _scaled_state, equal_up_to_scalar, evaluate, evaluate_phases
+    DEFAULT_TOLERANCE, _born_scaled, _scaled_state, equal_up_to_scalar, evaluate
 )
 
 Z, X = VertexType.Z, VertexType.X
@@ -169,6 +169,8 @@ UNITARY_TABLES = {
 
 
 def _table_row(k: int, table: str) -> tuple[str, ...]:
+    if table not in UNITARY_TABLES:
+        raise ValueError(f"unknown table {table!r}; expected one of {tuple(UNITARY_TABLES)}")
     if not 0 <= k <= 7:
         raise ValueError("GHZ class index must be in 0..7")
     return UNITARY_TABLES[table][k]
@@ -180,20 +182,32 @@ def ghz_class_state(k: int, table: str = "standard") -> Diagram:
     return ghz_state(3).compose(reduce(Diagram.tensor, map(pauli, _table_row(k, table)), wire()))
 
 
-_O, _PI = Phase.zero(), Phase.pi()  # each Pauli's phases in an iY slot: X(pi), then Z(pi)
-_SLOTS = {"I": (_O, _O), "X": (_PI, _O), "Z": (_O, _PI), "iY": (_PI, _PI)}
+_SLOTS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "iY": (1, 1)}  # bits of an iY slot: X, then Z
 
 
 def _sdc_readouts(layers: list[tuple[str, ...]], tol: float) -> list[Optional[int]]:
     """For each layer of Paulis on qubits 2..n of the n-qubit GHZ state, the basis
     state ``ghz_measurement(n)`` reads (None if another entry exceeds ``tol`` of the
-    largest), as phase variants of one template with ``pauli("iY")`` on wires 2..n."""
+    largest), as columns of one evaluated matrix: the template with ``pauli("iY")``
+    on wires 2..n, its phases set to 0, takes each slot some layer sets as an input,
+    on the X spider directly and through an H box on the Z spider, so a slot bit a
+    makes it X(a pi) or Z(a pi) and a layer reads the column of its slot bits."""
     n = 1 + len(layers[0])
     slots = reduce(Diagram.tensor, [pauli("iY")] * (n - 1), wire())
     d = ghz_state(n).compose(slots).compose(ghz_measurement(n))
     phased = [v for v in sorted(d.phases) if d.phases[v].num]  # X then Z, wire by wire
-    variants = [dict(zip(phased, [p for name in layer for p in _SLOTS[name]])) for layer in layers]
-    mags = np.abs(evaluate_phases(d, variants).reshape(len(layers), -1))
+    bits = np.array([[b for name in layer for b in _SLOTS[name]] for layer in layers])
+    opened = bits.any(axis=0)
+    for v, opens in zip(phased, opened.tolist()):
+        d.phases[v] = Phase.zero()
+        if opens and d.types[v] is X:
+            d.add_input(v)
+        elif opens:
+            h = d.add_vertex(VertexType.H)
+            d.add_edge(v, h)  # the H box's first leg
+            d.add_input(h)
+    columns = bits[:, opened] @ (1 << np.arange(opened.sum())[::-1])
+    mags = np.abs(evaluate(d)[:, columns].T)
     at = range(len(layers)), mags.argmax(axis=1)
     top, mags[at] = mags[at], 0
     return [int(i) if ok else None for i, ok in zip(at[1], mags.max(axis=1) <= tol * top)]
@@ -289,7 +303,7 @@ class ProtocolReport:
 
 def sdc_verify_all(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
     """Decode all eight class states under both unitary tables: 16 cases,
-    read as phase variants of one template diagram (``_sdc_readouts``)."""
+    read as columns of one evaluated matrix (``_sdc_readouts``)."""
     report = ProtocolReport("sdc-ghz")
     cases = [(table, k) for table in ("standard", "alternative") for k in range(8)]
     readouts = _sdc_readouts([UNITARY_TABLES[table][k] for table, k in cases], tol)
@@ -308,8 +322,8 @@ def _pauli_layers(n: int) -> list[tuple[str, ...]]:
 
 
 def sdc_n_ghz_verify(n: int, tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
-    """Superdense coding on the n-qubit GHZ state: all 2^n encodings, phase variants
-    of one template (``_sdc_readouts``), must measure to 2^n distinct basis states."""
+    """Superdense coding on the n-qubit GHZ state: all 2^n encodings, columns of one
+    evaluated matrix (``_sdc_readouts``), must measure to 2^n distinct basis states."""
     if not 3 <= n <= 6:
         raise ValueError("n must be in 3..6")
     report = ProtocolReport(f"sdc-ghz-n{n}")

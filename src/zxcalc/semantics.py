@@ -23,8 +23,11 @@ summed out one at a time in min-degree order, ties to the lowest id, each by
 one ``einsum`` whose width is checked against the cap before it runs.  The
 result of :func:`evaluate` is a ``2**m x 2**n`` matrix in big-endian wire
 order, times the diagram's ``scalar``: the first output/input is the most
-significant bit of the row/column index.  Phase variants of one graph share
-all but their weights: :func:`evaluate_phases` sums them in one pass.
+significant bit of the row/column index.  A phase a*pi, a in {0, 1}, that
+varies is an input wire instead: |a> on a leg of an X spider makes it
+X(a*pi), and through an H box onto a Z spider Z(a*pi), each up to 2^(-1/2)
+(Coecke & Duncan, arXiv:0906.4725), so its variants are the columns of one
+evaluated matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +54,6 @@ HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 _PARITY = _read_only(np.array([[1, 1], [1, -1]], dtype=complex))  # (-1)^(a*b)
 _QUARTER_TURNS = {(1, 2): 1j, (1, 1): -1, (3, 2): -1j}  # e^{ia} by (num, den), exactly
 _OPERANDS = 16  # per einsum call, below numpy's operand limit
-_BATCH = float("-inf")  # the variable that indexes phase variants; sorts first
 
 # Unit effect vectors for Born-rule amplitudes.
 EFFECT_VECTORS = {
@@ -76,6 +78,7 @@ def spider_tensor(ty: VertexType, phase, degree: int) -> np.ndarray:
     return _read_only(t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
 def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     """Sum a diagram over its spider variables to its ``2**m x 2**n`` matrix.
 
@@ -90,37 +93,10 @@ def evaluate(d: Diagram, *, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
     scale is out of the float range, or the result's largest magnitude is
     (NaN, past the largest float, or nonzero and subnormal).
     """
-    return _evaluate(d, {}, 1, max_qubits).reshape(2 ** len(d.outputs), 2 ** len(d.inputs))
-
-
-def evaluate_phases(
-    d: Diagram, variants: Sequence[dict], *, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
-    """:func:`evaluate` of ``d`` with each variant's {spider: phase} set, as a
-    ``(B, 2**m, 2**n)`` array.  A weight that varies gets a batch axis, which
-    counts ``ceil(log2 B)`` wires against ``max_qubits``."""
-    if not variants:
-        raise ValueError("evaluate_phases needs at least one phase variant")
-    batched = {}  # spider: its phase in each variant
-    for v in sorted(set().union(*variants)):
-        if v not in d.phases:
-            raise ValueError(f"vertex {v} is not a spider, so it has no phase to set")
-        batched[v] = [variant.get(v, d.phases[v]) for variant in variants]
-    out = _evaluate(d, batched, len(variants), max_qubits)
-    return out.reshape(len(variants), 2 ** len(d.outputs), 2 ** len(d.inputs))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a result out of range is refused below
-def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarray:
-    """:func:`evaluate` of ``size`` variants, on a leading axis; a spider in
-    ``batched`` takes its phase in each variant from there."""
     d.validate()
     m, n = len(d.outputs), len(d.inputs)
-    batch_bits = (size - 1).bit_length()
-    if m + n + batch_bits > max_qubits:
-        raise ResourceLimitError(
-            f"interface has {m + n + batch_bits} wires, exceeding the cap of {max_qubits}"
-        )
+    if m + n > max_qubits:
+        raise ResourceLimitError(f"interface has {m + n} wires, exceeding the cap of {max_qubits}")
 
     types = d.types
     parent = dict(zip(types, types))
@@ -146,15 +122,11 @@ def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarr
         parent[v] = parent[parent[v]]
 
     weight = {c: [1, 1] for c in sorted(set(parent.values()))}  # (w(0), w(1))
-    phases = d.phases if not batched else {v: p for v, p in d.phases.items() if v not in batched}
     try:
-        for v, phase in phases.items():  # inline: a call per phase costs evaluate 2%
+        for v, phase in d.phases.items():  # inline: a call per phase costs evaluate 2%
             if phase.num:
                 turn = _QUARTER_TURNS.get((phase.num, phase.den))
                 weight[parent[v]][1] *= turn or cmath.exp(1j * phase.radians)
-        for v, ps in batched.items():  # e^{i alpha} per variant, or once where all agree
-            u = [_QUARTER_TURNS.get((p.num, p.den)) or cmath.exp(1j * p.radians) for p in ps]
-            weight[parent[v]][1] *= np.array(u) if len(set(u)) > 1 else u[0]
     except OverflowError:  # a numerator or denominator is past the float range
         raise ResourceLimitError("a phase is out of floating-point range") from None
     adj: dict[int, set[int]] = {c: set() for c in weight}  # the classes c shares a factor with
@@ -194,11 +166,6 @@ def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarr
     # factors keyed by their sorted variables; holding[c]: the keys with c
     factors: dict[tuple, np.ndarray] = {}
     holding: dict[int, set[tuple]] = {c: set() for c in weight}
-    if batched:  # a weight that varies leads with the batch axis, which is never summed
-        holding[_BATCH] = set()
-        for c in [c for c, w in weight.items() if type(w[1]) is np.ndarray]:
-            factors[_BATCH, c] = np.stack(np.broadcast_arrays(*weight.pop(c)), axis=1)
-            holding[c].add((_BATCH, c))
     for c, w in weight.items():
         if w != [1, 1]:
             factors[c,] = np.array(w, dtype=complex)
@@ -215,15 +182,13 @@ def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarr
         for u in scope:
             adj[u].discard(c)
             adj[u].update(w for w in scope if w != u)
-        if batched and any(key[0] is _BATCH for key in holding[c]):
-            scope.insert(0, _BATCH)
         args = []
         for key in holding.pop(c):
             args += [factors.pop(key), key]
             for u in key:
                 if u != c:
                     holding[u].discard(key)
-        t = _einsum(args, scope, max_qubits, batch_bits)
+        t = _einsum(args, scope, max_qubits)
         key = tuple(scope)
         if not key:
             scale *= complex(t)
@@ -235,39 +200,36 @@ def _evaluate(d: Diagram, batched: dict, size: int, max_qubits: int) -> np.ndarr
                 holding[u].add(key)
 
     opens = sorted(set(pins))
-    out = np.empty((size,) + (2,) * len(opens), dtype=complex)
-    out.T[...] = scale  # a scale that varies runs along the leading batch axis
+    out = np.full((2,) * len(opens), scale, dtype=complex)
     for key, t in factors.items():
-        shape = [2 if u in key else 1 for u in opens]
-        out *= t.reshape([-1, *shape] if key[0] is _BATCH else shape)
-    axes = [0] + [opens.index(c) + 1 for c in pins]
+        out *= t.reshape([2 if u in key else 1 for u in opens])
+    axes = [opens.index(c) for c in pins]
     if len(opens) == len(pins):  # no two pins share a class
         out = out.transpose(axes)
     else:
         # write out into the diagonal of the pins that share a class
-        result = np.zeros((size,) + (2,) * len(pins), dtype=complex)
-        np.einsum(result, axes, range(len(opens) + 1))[...] = out
+        result = np.zeros((2,) * len(pins), dtype=complex)
+        np.einsum(result, axes, range(len(opens)))[...] = out
         out = result
     peak = float(np.abs(out).max())  # NaN if any entry is
     if not (peak == 0 or sys.float_info.min <= peak <= sys.float_info.max):
         raise ResourceLimitError("the value is out of floating-point range")
-    return out
+    return out.reshape(2**m, 2**n)
 
 
-def _einsum(args: list, out: list, max_qubits: int, batch_bits: int) -> np.ndarray:
+def _einsum(args: list, out: list, max_qubits: int) -> np.ndarray:
     """``einsum`` of ``[tensor, variables, ...]`` onto the variables ``out``,
-    refused before it runs when ``out`` (the batch ``batch_bits`` wide) is
-    wider than ``max_qubits``.  More than ``_OPERANDS`` tensors go in groups
-    first, each checked the same way.  ``args``' variables are renumbered."""
-    width = len(out) - 1 + batch_bits if out and out[0] is _BATCH else len(out)
-    if width > max_qubits:
+    refused before it runs when ``out`` is wider than ``max_qubits``.  More
+    than ``_OPERANDS`` tensors go in groups first, each checked the same
+    way.  ``args``' variables are renumbered."""
+    if len(out) > max_qubits:
         raise ResourceLimitError(
-            f"intermediate tensor with {width} wires exceeds the cap of {max_qubits}"
+            f"intermediate tensor with {len(out)} wires exceeds the cap of {max_qubits}"
         )
     while len(args) > 2 * _OPERANDS:
         head, args = args[: 2 * _OPERANDS], args[2 * _OPERANDS :]
         keep = sorted(set().union(*head[1::2]))
-        args += [_einsum(head, keep, max_qubits, batch_bits), keep]
+        args += [_einsum(head, keep, max_qubits), keep]
     index: dict[int, int] = {}
     for k in range(1, len(args), 2):
         args[k] = [index.setdefault(u, len(index)) for u in args[k]]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zxcalc.semantics import born_probability, equal_up_to_scalar, evaluate, evaluate_phases
+from zxcalc.semantics import born_probability, equal_up_to_scalar, evaluate
 from zxcalc.protocols import (
     UNITARY_TABLES,
     cnot,
@@ -102,6 +102,12 @@ def test_table_equivalence_unit_modulus(k):
     verdict = equal_up_to_scalar(a, b)
     assert verdict.equal
     assert abs(abs(verdict.scalar) - 1.0) <= 1e-9
+
+
+def test_unknown_table_is_a_value_error():
+    for call in (lambda: sdc_decode(0, "bogus"), lambda: ghz_class_state(0, "x")):
+        with pytest.raises(ValueError, match="expected one of \\('standard', 'alternative'\\)"):
+            call()
 
 
 def test_ghz_measurement_matches_circuit_oracle():
@@ -234,30 +240,51 @@ def _composed_readout(d: Diagram, tol: float = 1e-9):
     return idx
 
 
+_SLOT_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "iY": (1, 1)}  # X(a pi), then Z(b pi)
+
+
+def _slot_columns(layers) -> list[int]:
+    """Each layer's column: its slot bits, over the slots some layer sets."""
+    bits = [[b for name in layer for b in _SLOT_BITS[name]] for layer in layers]
+    opened = [i for i in range(len(bits[0])) if any(row[i] for row in bits)]
+    return [int("".join(str(row[i]) for i in opened) or "0", 2) for row in bits]
+
+
 def test_sdc_template_matches_composed_encodings(monkeypatch):
     """Every layer of sdc_n_ghz_verify(3..6) and every table case of
-    sdc_verify_all reads, and evaluates, on the shared template as its own
-    composed diagram does."""
+    sdc_verify_all reads as its own composed diagram does, and its column of
+    the one evaluated matrix is 2^(-c/2) times that diagram's matrix, c the
+    number of slots opened to inputs; the layers of one n read a signed
+    permutation matrix, times that scalar."""
     from zxcalc import protocols
 
-    batches = []
+    matrices = []
 
-    def recording_evaluate_phases(d, variants, **kwargs):
-        batches.append(evaluate_phases(d, variants, **kwargs))
-        return batches[-1]
+    def recording_evaluate(d, **kwargs):
+        matrices.append(evaluate(d, **kwargs))
+        return matrices[-1]
 
-    monkeypatch.setattr(protocols, "evaluate_phases", recording_evaluate_phases)
+    monkeypatch.setattr(protocols, "evaluate", recording_evaluate)
     cases = [protocols._pauli_layers(n) for n in range(3, 7)]
     cases.append([pair for table in ("standard", "alternative") for pair in UNITARY_TABLES[table]])
     for layers in cases:
         readouts = protocols._sdc_readouts(layers, 1e-9)
-        rows = batches.pop()
-        assert len(rows) == len(readouts) == len(layers)
-        for layer, row, idx in zip(layers, rows, readouts):
+        (m,) = matrices
+        matrices.clear()
+        columns = _slot_columns(layers)
+        scale = 2 ** (-math.log2(m.shape[1]) / 2)
+        assert len(readouts) == len(layers)
+        for layer, column, idx in zip(layers, columns, readouts):
             composed = _composed_encoding(layer)
             assert idx is not None and idx == _composed_readout(composed), layer
-            ref = evaluate(composed)
-            assert np.max(np.abs(row - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), layer
+            ref = scale * evaluate(composed).reshape(-1)
+            assert np.max(np.abs(m[:, column] - ref)) <= 1e-12 * np.max(np.abs(ref)), layer
+        read = np.abs(m[:, columns])
+        if read.shape[0] == read.shape[1]:  # all 2^n layers of one n
+            peak = np.max(np.abs(scale * evaluate(_composed_encoding(layers[0]))))
+            perm = read > peak / 2
+            assert (perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()
+            assert np.max(np.abs(read - peak * perm)) <= 1e-12 * peak
 
 
 # ----------------------------------------------------------------------

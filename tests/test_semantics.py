@@ -12,7 +12,6 @@ from zxcalc.semantics import (
     born_probability,
     equal_up_to_scalar,
     evaluate,
-    evaluate_phases,
     spider_tensor,
 )
 from zxcalc.protocols import cnot, ghz_state, pauli, w_state, wire
@@ -187,10 +186,10 @@ def test_contraction_orders_agree():
 
 
 def test_qubit_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="interface has 15 wires, exceeding the cap of 14"):
         evaluate(ghz_state(15))
     assert evaluate(ghz_state(6)).shape == (64, 1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="interface has 6 wires, exceeding the cap of 4"):
         evaluate(ghz_state(6), max_qubits=4)
 
 
@@ -367,99 +366,12 @@ def test_wide_elimination_is_refused_before_allocating():
     assert peak < 1 << 20  # a 2**19 intermediate would take 8 MiB
 
 
-def _soundness_slice(per_pair=20):
-    """The first samples that check_soundness draws at seed 0 for each of
-    the 16 (rule, direction) pairs."""
-    from zxcalc.rewrite.rules import BACKWARD, FORWARD, RULE_NAMES
-    from zxcalc.rewrite.soundness import embed_lhs, random_diagram
-
-    pairs = [(name, FORWARD) for name in RULE_NAMES]
-    pairs += [(name, BACKWARD) for name in ("S1", "B2", "C")]
-    for name, direction in pairs:
-        rng = random.Random(0)
-        for _ in range(per_pair):
-            d = random_diagram(rng, max_vertices=8, max_boundaries=4)
-            embed_lhs(name, direction, d, rng)
-            yield d
-
-
-def test_evaluate_phases_rows_equal_evaluate_with_the_phases_set():
-    rng = random.Random(21)
-    for d in _soundness_slice():
-        spiders = sorted(d.phases)
-        variants = [
-            {
-                v: Phase(rng.randint(0, 23), rng.randint(1, 12))
-                for v in rng.sample(spiders, rng.randint(0, len(spiders)))
-            }
-            for _ in range(rng.randint(1, 5))
-        ]
-        rows = evaluate_phases(d, variants)
-        assert rows.shape == (len(variants),) + evaluate(d).shape
-        for variant, row in zip(variants, rows):
-            e = d.copy()
-            e.phases.update(variant)
-            ref = evaluate(e)
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(row - ref)) <= 1e-12 * scale, serialize_zxg(e)
-
-
-def test_evaluate_phases_batches_the_scale_and_shared_pins():
-    # a closed spider with no neighbour sums into the scale; the GHZ spider's
-    # two outputs share one class, so the result is written into a diagonal
+def test_phase_no_float_holds_is_refused():
     d = ghz_state(2)
     (z,) = d.phases
-    loop = d.add_vertex(Z)
-    variants = [{z: Phase(k, 4), loop: Phase(3 * k, 4)} for k in range(5)]
-    for variant, row in zip(variants, evaluate_phases(d, variants)):
-        e = d.copy()
-        e.phases.update(variant)
-        assert np.max(np.abs(row - evaluate(e))) <= 1e-12
-
-
-def test_evaluate_phases_refuses_what_it_cannot_set():
-    d = pauli("Z")
-    h = d.add_vertex(VertexType.H)
-    d.add_edge(d.add_input(), h)
-    d.add_edge(h, d.add_output())
-    with pytest.raises(ValueError, match="at least one phase variant"):
-        evaluate_phases(d, [])
-    for v in (d.inputs[0], h, max(d.types) + 1):  # a boundary, an H box, no vertex
-        with pytest.raises(ValueError, match=f"vertex {v} is not a spider"):
-            evaluate_phases(d, [{}, {v: Phase(1)}])
-
-
-def test_evaluate_phases_refuses_a_phase_no_float_holds():
-    d = ghz_state(2)
-    (z,) = d.phases
-    huge = Phase(2 * 10**400 - 1, 10**400)  # exact, but no float holds its parts
-    for variants in ([{z: Phase(1, 2)}, {z: huge}], [{z: huge}]):
-        with pytest.raises(ResourceLimitError, match="a phase is out of floating-point range"):
-            evaluate_phases(d, variants)
-
-
-def test_batch_bits_count_toward_the_width_cap():
-    # five spiders joined pairwise through H boxes, every phase varying:
-    # the first elimination holds four variables and the batch
-    d = Diagram()
-    spiders = [d.add_vertex(Z) for _ in range(5)]
-    for i, u in enumerate(spiders):
-        for v in spiders[i + 1 :]:
-            h = d.add_vertex(VertexType.H)
-            d.add_edge(u, h)
-            d.add_edge(h, v)
-    four = [{v: Phase(k, 4) for v in spiders} for k in range(4)]  # two batch bits
-    assert evaluate_phases(d, four, max_qubits=6).shape == (4, 1, 1)
-    with pytest.raises(ResourceLimitError, match="6 wires exceeds the cap of 5"):
-        evaluate_phases(d, four, max_qubits=5)
-    assert evaluate_phases(d, four[1:2], max_qubits=4).shape == (1, 1, 1)  # B = 1 adds none
-    # the interface counts the batch bits too
-    g = ghz_state(6)
-    (z,) = g.phases
-    assert evaluate_phases(g, [{z: Phase(k, 2)} for k in range(4)], max_qubits=8).shape == (4, 64, 1)
-    with pytest.raises(ResourceLimitError, match="interface has 8 wires"):
-        evaluate_phases(g, [{z: Phase(k, 2)} for k in range(4)], max_qubits=7)
-    assert evaluate_phases(g, [{z: Phase(1, 2)}], max_qubits=6).shape == (1, 64, 1)
+    d.phases[z] = Phase(2 * 10**400 - 1, 10**400)  # exact, but no float holds its parts
+    with pytest.raises(ResourceLimitError, match="a phase is out of floating-point range"):
+        evaluate(d)
 
 
 def test_value_out_of_float_range_is_refused():
