@@ -171,6 +171,9 @@ UNITARY_TABLES = {
 def _table_row(k: int, table: str) -> tuple[str, ...]:
     if table not in UNITARY_TABLES:
         raise ValueError(f"unknown table {table!r}; expected one of {tuple(UNITARY_TABLES)}")
+    if isinstance(k, bool):  # operator.index takes a bool as 0 or 1
+        raise TypeError("GHZ class index must be an integer, not bool")
+    k = operator.index(k)  # a float or a string raises TypeError here
     if not 0 <= k <= 7:
         raise ValueError("GHZ class index must be in 0..7")
     return UNITARY_TABLES[table][k]

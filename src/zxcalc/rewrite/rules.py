@@ -42,7 +42,8 @@ supplies four parts:
 out deterministically, ascending in their vertex ids taken in the order of
 ``roles``; the first match is ``next(iter_matches(d))`` and costs only the
 candidates before it.  Where the index a rule reads is empty (S1, S2a,
-S2b, HOPF), ``iter_matches`` returns an empty iterator at once.  ``apply``
+S2b, HOPF), ``iter_matches`` yields nothing at once; S1 and HOPF build and
+check only their heap's top until asked for more.  ``apply``
 never mutates its input: it raises :class:`StaleMatchError` unless the
 match has this rule's name and roles and still holds, then returns a
 rewritten copy.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator
 
 from ..graph import _H, _X, _Z, Diagram, VertexType
@@ -62,6 +63,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 _CLIFFORD_PI = (Phase.zero(), Phase.pi())
+_SPIDERS = (_Z, _X)  # tested by identity: an Enum's hash is Python-level
 
 
 class StaleMatchError(Exception):
@@ -103,7 +105,7 @@ def _legs(d: Diagram, v: int) -> list[int]:
 
 
 def _spider(d: Diagram, v: int) -> bool:
-    return v in d.types and d.types[v].is_spider()
+    return d.types.get(v) in _SPIDERS
 
 
 def _others(d: Diagram, v: int) -> list[int]:
@@ -173,7 +175,9 @@ class RewriteRule:
 
 class _LinkedPairRule(RewriteRule):
     """A rule on two spiders u < v joined by an edge, same-coloured or not:
-    its candidates are the diagram's linked pairs, ascending."""
+    its candidates are the diagram's linked pairs, ascending.  A match's
+    data is ``(("u", u), ("v", v))``, so ``holds`` and ``_rewrite`` unpack
+    it instead of looking each role up."""
 
     roles = ("u", "v")
     same_colour: bool
@@ -183,24 +187,34 @@ class _LinkedPairRule(RewriteRule):
         return (Match(name, (("u", u), ("v", v))) for u, v in _linked_pairs(d, self.same_colour))
 
     def iter_matches(self, d: Diagram) -> Iterator[Match]:
-        if not d._linked_heap(self.same_colour):
-            return iter(())
-        return super().iter_matches(d)
+        """The heap's top as the first candidate, checked at once; only a
+        request past it sorts the other pairs."""
+        heap = d._linked_heap(self.same_colour)
+        if heap:
+            u, v = heap[0]
+            m = Match(self.name, (("u", u), ("v", v)))
+            if self.holds(d, m):
+                yield m
+            yield from (m for m in islice(self.candidates(d), 1, None) if self.holds(d, m))
 
 
 class FuseRule(_LinkedPairRule):
-    """Adjacent same-colour spiders fuse; phases add, connecting edges vanish."""
+    """Adjacent same-colour spiders fuse; phases add, connecting edges vanish.
+
+    ``_rewrite`` is :meth:`Diagram._fuse`: v's other legs are re-pointed
+    onto u in place, so a fusion costs O(v's degree) and regrades u alone.
+    """
 
     name = "S1"
     same_colour = True
 
     def holds(self, d: Diagram, m: Match) -> bool:
-        u, v = m["u"], m["v"]
+        (_, u), (_, v) = m.data
+        ty = d.types.get(u)
         return (
             u < v
-            and _spider(d, u)
-            and _spider(d, v)
-            and d.types[u] is d.types[v]
+            and ty in _SPIDERS
+            and d.types.get(v) is ty
             and d.edge_count(u, v) >= 1
         )
 
@@ -213,15 +227,8 @@ class FuseRule(_LinkedPairRule):
         return [u] * rng.randint(0, 2) + [v] * rng.randint(0, 2)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
-        u, v = m["u"], m["v"]
-        d.phases[u] = d.phases[u] + d.phases[v]
-        legs = _legs(d, v)
-        d.remove_vertex(v)
-        for w in legs:
-            # connecting edges disappear, a self-loop moves over; unchecked,
-            # as u is a spider (no degree cap) and w only swaps v for u
-            if w != u:
-                d._link(u, u if w == v else w)
+        (_, u), (_, v) = m.data
+        d._fuse(u, v)
 
 
 class UnfuseRule(RewriteRule):
@@ -834,12 +841,13 @@ class HopfRule(_LinkedPairRule):
     same_colour = False
 
     def holds(self, d: Diagram, m: Match) -> bool:
-        u, v = m["u"], m["v"]
+        (_, u), (_, v) = m.data
+        tu, tv = d.types.get(u), d.types.get(v)
         return (
             u < v
-            and _spider(d, u)
-            and _spider(d, v)
-            and d.types[v] is d.types[u].opposite
+            and tu in _SPIDERS
+            and tv in _SPIDERS
+            and tv is not tu
             and d.edge_count(u, v) == 2
         )
 
@@ -852,7 +860,7 @@ class HopfRule(_LinkedPairRule):
         return [u] * rng.randint(0, 2) + [v] * rng.randint(0, 2)
 
     def _rewrite(self, d: Diagram, m: Match) -> None:
-        u, v = m["u"], m["v"]
+        (_, u), (_, v) = m.data
         d.scalar *= Scalar(-2)
         d.remove_edge(u, v)
         d.remove_edge(u, v)

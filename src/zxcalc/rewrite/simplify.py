@@ -12,6 +12,12 @@ with each rule's ``_rewrite``: the match it takes was just found on that
 very state, so ``apply``'s copy and stale-match check would only repeat
 work.  Everything else, trace replay included, goes through ``apply``.
 
+A step costs what its first match and its rewrite touch, not the
+diagram's size.  On a CNOT ladder every safe step is one spider fusion:
+S2a and S2b find their indexes empty, S1 reads the top of its linked-pair
+heap, builds one match and checks it once, and ``Diagram._fuse`` moves v's
+few legs onto u in place.
+
 A :class:`Trace` stores a copy of the start diagram and the log of the
 matches taken, not a diagram per step.  ``render`` and ``steps`` replay the
 log through ``rule.apply``, which re-checks every match; each costs one
@@ -124,15 +130,19 @@ def simplify(d: Diagram, strategy: str = "safe", step_limit: int = 1000) -> tupl
     if step_limit < 1:
         raise ValueError("step_limit must be positive")
 
-    rules = [(name, get_rule(name)) for name in _SAFE_RULES]
+    # each rule with the test its matches must also pass, if any
+    rules = [
+        (name, get_rule(name), _safe_b1_filter if name == "B1" and strategy == "safe" else None)
+        for name in _SAFE_RULES
+    ]
     if strategy == "full":
-        rules += [(name, get_rule(name, direction)) for name, direction in _FULL_EXTRA]
+        rules += [(name, get_rule(name, direction), None) for name, direction in _FULL_EXTRA]
 
     def first_match(d: Diagram):
-        for name, rule in rules:
+        for name, rule, keep in rules:
             matches = rule.iter_matches(d)
-            if name == "B1" and strategy == "safe":
-                matches = (m for m in matches if _safe_b1_filter(d, m))
+            if keep is not None:
+                matches = (m for m in matches if keep(d, m))
             m = next(matches, None)
             if m is not None:
                 return name, rule, m

@@ -535,3 +535,16 @@ def test_report_machine_lines():
         parts = [p.strip() for p in line.split("|")]
         assert len(parts) == 4
         assert parts[3] in ("pass", "FAIL")
+
+
+def test_ghz_class_index_must_be_an_integer():
+    """A k that ``operator.index`` refuses, or a bool, is a TypeError before
+    the range check; an integer of another type decodes as its value."""
+    for k in (2.5, "1", True, 7.0):
+        for call in (sdc_decode, ghz_class_state):
+            with pytest.raises(TypeError, match="integer"):
+                call(k)
+    assert sdc_decode(np.int64(3)) == sdc_decode(3)
+    assert np.array_equal(evaluate(ghz_class_state(np.int64(3))), evaluate(ghz_class_state(3)))
+    with pytest.raises(ValueError, match="0..7"):
+        sdc_decode(np.int64(8))

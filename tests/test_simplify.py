@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter, defaultdict
 from operator import countOf
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from zxcalc.rewrite import (
     random_diagram,
     simplify,
 )
-from zxcalc.rewrite.rules import _linked_pairs
+from zxcalc.rewrite.rules import FuseRule, _linked_pairs
 from zxcalc.rewrite.simplify import _FULL_EXTRA, _SAFE_RULES, _safe_b1_filter
 from zxcalc.rewrite.soundness import embed_lhs
 from zxcalc.protocols import cnot, ghz_state, wire
@@ -511,3 +512,96 @@ def test_simplify_leaves_its_input_and_trace_start_untouched():
             assert (serialize_zxg(start), start.scalar, start._next_id) == before
             *_, (_, _, replayed) = trace.replay()
             assert serialize_zxg(replayed) == serialize_zxg(out)
+
+
+def _fuse_by_removal(d, u, v):
+    """S1's rewrite as it was first written: v's legs, then ``remove_vertex(v)``
+    and one ``_link`` per leg that does not end at u."""
+    d.phases[u] = d.phases[u] + d.phases[v]
+    legs = [w for e, w in d._inc[v].items() if e >= 0]
+    d.remove_vertex(v)
+    for w in legs:
+        if w != u:
+            d._link(u, u if w == v else w)
+
+
+def _copy_with_indexes(d):
+    """``d.copy()`` with the degree and linked-pair indexes too, if built."""
+    out = d.copy()
+    if d._linked is not None:
+        out._by_degree = defaultdict(set, {k: set(vs) for k, vs in d._by_degree.items()})
+        out._linked = dict(d._linked)
+        out._pair_heaps = (list(d._pair_heaps[0]), list(d._pair_heaps[1]))
+    return out
+
+
+def _whole_state(d):
+    """Everything a diagram holds, orders included; degree-index entries
+    that are empty sets count as absent."""
+    by_degree = d._by_degree and {k: vs for k, vs in d._by_degree.items() if vs}
+    return (
+        list(d.types.items()),
+        list(d.phases.items()),
+        [(v, list(inc.items())) for v, inc in d._inc.items()],
+        list(d._loops.items()),
+        (d._next_id, d._next_edge, d.inputs, d.outputs, d.scalar),
+        by_degree,
+        d._linked and list(d._linked.items()),
+        d._pair_heaps,
+    )
+
+
+def test_in_place_fusion_equals_remove_and_relink(monkeypatch):
+    """Every S1 step of the safe and full simplify of the committed samples,
+    ``diagrams/*.zxg`` and relabelled ladders, of their replays through
+    ``apply`` (whose copy has no indexes yet), and every S1 match of each
+    sample leaves exactly the state that removing v and linking its other
+    legs to u leaves."""
+    seen = Counter()
+    rewrite = FuseRule._rewrite
+
+    def checked(self, d, m):
+        u, v = m["u"], m["v"]
+        seen["indexed" if d._linked is not None else "bare"] += 1
+        seen["self-loop"] += d.self_loops(v) > 0
+        seen["parallel"] += d.edge_count(u, v) > 1
+        seen["to a non-spider"] += any(not d.types[w].is_spider() for w in d._inc[v].values())
+        expected = _copy_with_indexes(d)
+        _fuse_by_removal(expected, u, v)
+        rewrite(self, d, m)
+        assert _whole_state(d) == _whole_state(expected)
+
+    monkeypatch.setattr(FuseRule, "_rewrite", checked)
+    ladder = _ladder(59)
+    corpus = [parse_zxg(p.read_text()) for p in sorted(DIAGRAMS.glob("*.zxg"))]
+    corpus += [parse_zxg(_relabeled_text(ladder, random.Random(seed))) for seed in range(3)]
+    for d in corpus + lhs_samples():
+        for strategy in ("safe", "full"):
+            _, trace = simplify(d, strategy=strategy, step_limit=200)
+            for _ in trace.replay():
+                pass
+    # simplify removes self-loops (S2b) before it fuses: fuse every match too
+    fuse = FuseRule()
+    for d in lhs_samples():
+        d._of_degree(0)  # builds the indexes
+        for m in list(fuse.iter_matches(d)):
+            fuse._rewrite(_copy_with_indexes(d), m)
+            fuse._rewrite(d.copy(), m)
+    assert seen["indexed"] > 1000 and seen["bare"] > 1000, seen
+    assert min(seen.values()) > 20, seen
+
+
+def test_safe_simplify_regrades_once_per_fusion_on_relabeled_ladders(monkeypatch):
+    """A fusion refiles only u in the degree index: v's neighbours keep
+    their degrees, so they are never regraded."""
+    d = parse_zxg(_relabeled_text(_ladder(59), random.Random(0)))
+    regrade, calls = Diagram._regrade, []
+
+    def counted(self, v, degree, change):
+        calls.append(v)
+        regrade(self, v, degree, change)
+
+    monkeypatch.setattr(Diagram, "_regrade", counted)
+    _, trace = simplify(d)
+    assert trace.rules_used() == ["S1"] * 116
+    assert len(calls) <= len(trace), (len(calls), len(trace))
