@@ -40,6 +40,15 @@ class Phase:
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
+    def __reduce__(self):  # pickle through __init__: its slots cannot be set
+        return Phase, (self.num, self.den)
+
+    def __copy__(self) -> "Phase":
+        return self
+
+    def __deepcopy__(self, memo) -> "Phase":
+        return self
+
     @classmethod
     def zero(cls) -> "Phase":
         return cls(0)

@@ -25,9 +25,7 @@ import numpy as np
 
 from .graph import Diagram, VertexType
 from .phase import Phase
-from .semantics import (
-    DEFAULT_TOLERANCE, _born_scaled, _scaled_state, equal_up_to_scalar, evaluate
-)
+from .semantics import DEFAULT_TOLERANCE, _born, _bra, _scaled_state, equal_up_to_scalar, evaluate
 
 Z, X = VertexType.Z, VertexType.X
 
@@ -381,7 +379,7 @@ def qkd_check_lemmas(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
                 labels[decider] = "z+"
                 labels[others[0]] = f"x{s2}"
                 labels[others[1]] = f"x{s3}"
-                p = _born_scaled(*w_scaled, labels)
+                (p,) = _born(*w_scaled, [_BRAS[_LABELS.index(labels)]])
                 if s2 == s3:
                     ok = p > tol
                     report.add(
@@ -405,22 +403,6 @@ def qkd_check_lemmas(tol: float = DEFAULT_TOLERANCE) -> ProtocolReport:
 _ACCEPTED_PATTERNS = {("z", "x", "x"), ("x", "z", "x"), ("x", "x", "z")}
 
 
-def _round_table(
-    w_scaled: tuple[np.ndarray, float], bases: tuple[str, str, str]
-) -> tuple[list[float], list[tuple[QkdRound, tuple[int, ...]]]]:
-    """For a basis triple, the running Born sums of the eight sign patterns (in
-    order, added one at a time), and each one's round record and non-deciders.
-    ``w_scaled`` is the W state as :func:`~zxcalc.semantics._scaled_state`
-    gives it, so the eight tables scale it and take its norm only once."""
-    sums, records, acc = [], [], 0.0
-    for bits in range(8):
-        signs = tuple("+" if (bits >> (2 - k)) & 1 == 0 else "-" for k in range(3))
-        acc += _born_scaled(*w_scaled, [bases[k] + signs[k] for k in range(3)])
-        sums.append(acc)
-        records.append(_round_record(bases, signs))
-    return sums, [(r, tuple(k for k in range(3) if k != r.decider)) for r in records]
-
-
 def _round_record(bases: tuple[str, str, str], signs: tuple[str, str, str]) -> QkdRound:
     """The record of a round that drew ``bases`` and measured ``signs``."""
     if bases not in _ACCEPTED_PATTERNS:
@@ -431,6 +413,24 @@ def _round_record(bases: tuple[str, str, str], signs: tuple[str, str, str]) -> Q
     s1, s2 = (signs[k] for k in range(3) if k != decider)
     bit = None if s1 != s2 else 0 if s1 == "+" else 1
     return QkdRound(bases, signs, accepted=True, decider=decider, shared_bit=bit)
+
+
+# The 64 cells of a round, ``8 * basis + outcome``: the basis triple and the
+# sign triple count up in binary, z and + the 0 bits, wire 1 the highest.
+_CELLS = [(bases, signs) for bases in product("zx", repeat=3) for signs in product("+-", repeat=3)]
+_LABELS = [[b + s for b, s in zip(bases, signs)] for bases, signs in _CELLS]
+_BRAS = np.array([_bra(labels) for labels in _LABELS])  # row i: cell i's effect
+_RECORDS = np.empty(64, dtype=object)  # frozen, so every round of a cell shares its record
+_RECORDS[:] = [_round_record(bases, signs) for bases, signs in _CELLS]
+_KEYED = np.array([r.shared_bit is not None for r in _RECORDS])
+_FLAGS = np.array(  # per cell: basis accepted, decider z+, unequal x outcomes
+    [(r.decider is not None, r.accepted, r.accepted and r.shared_bit is None) for r in _RECORDS]
+)
+_KEY_CELLS = [  # the cells that share a bit: (cell, its non-deciders, the bit)
+    (i, tuple(k for k in range(3) if k != r.decider), r.shared_bit)
+    for i, r in enumerate(_RECORDS)
+    if r.shared_bit is not None
+]
 
 
 _CHUNK = 2048  # rounds per pass of _draw_cells, which bounds its memory for any count
@@ -444,8 +444,9 @@ def _draw_cells(rng: random.Random, rounds: int, sums: np.ndarray):
     first word whose top bit is 0 and reads its bit 30 (z = 0, x = 1), and
     ``random()`` reads the next two as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
     So the rank of the accepted word a round starts at fixes the next round's;
-    the orbit of that map from 0 comes from pointer doubling.  Words a chunk
-    leaves over are carried into the next."""
+    the orbit of that map from 0 comes from pointer doubling.  The basis and
+    ``random()`` words are then read at the drawn ranks only.  Words a chunk
+    leaves over are carried into the next; nothing is kept between calls."""
     words = np.empty(0, dtype="<u4")
     while rounds:
         need = min(rounds, _CHUNK)
@@ -463,9 +464,9 @@ def _draw_cells(rng: random.Random, rounds: int, sums: np.ndarray):
             orbit, step = np.concatenate([orbit, step[orbit]]), step[step]
         done = min(np.searchsorted(orbit, whole), need)
         q = orbit[:done]
-        bit = words[top] >> 30
-        basis = 4 * bit[q] + 2 * bit[q + 1] + bit[q + 2]
-        u = ((words[third[q] + 1] >> 5) * 67108864.0 + (words[third[q] + 2] >> 6)) / 2.0**53
+        last = third[q]
+        basis = 4 * (words[top[q]] >> 30) + 2 * (words[top[q + 1]] >> 30) + (words[last] >> 30)
+        u = ((words[last + 1] >> 5) * 67108864.0 + (words[last + 2] >> 6)) / 2.0**53
         # rows of sums are nondecreasing, so counting entries <= u is bisect_right
         yield np.minimum((sums[basis] <= u[:, None]).sum(1), 7) + 8 * basis
         rounds -= done
@@ -487,6 +488,11 @@ def qkd_simulate(
     from the same bits that per-round ``choice("zx")`` and ``random()`` calls
     on ``random.Random(seed)`` read.
 
+    One call evaluates the W state once and takes its 64 Born values in one
+    pass over the constant effects of the cells (``_BRAS``); the round
+    records and their tallies are constants too.  The rest is the bulk
+    decode, which keeps no state between calls.
+
     ``eavesdrop_checks`` marks rounds that the security steps of the
     protocol would sacrifice for comparison; they are recorded (and excluded
     from the key) but no adversary is modelled.
@@ -496,32 +502,27 @@ def qkd_simulate(
     """
     if operator.index(rounds) < 1:
         raise ValueError("rounds must be >= 1")
-    w_scaled = _scaled_state(evaluate(w_state()).reshape(-1))
-    tables = [_round_table(w_scaled, bases) for bases in product("zx", repeat=3)]
-    cells = [entry for _, entries in tables for entry in entries]  # (record, non-deciders)
-    records = [record for record, _ in cells]
-    keyed = np.array([record.shared_bit is not None for record in records])
+    probs = _born(*_scaled_state(evaluate(w_state()).reshape(-1)), _BRAS)
+    sums = np.cumsum(np.reshape(probs, (8, 8)), axis=1)  # added one at a time, in order
     sacrificial = set(eavesdrop_checks or ())
 
     counts, lost = np.zeros((2, 64), dtype=np.int64)  # rounds, and sacrificed ones, per cell
     log: list[QkdRound] = []
-    for drawn in _draw_cells(random.Random(seed), rounds, np.array([s for s, _ in tables])):
+    for drawn in _draw_cells(random.Random(seed), rounds, sums):
         counts += np.bincount(drawn, minlength=64)
         if sacrificial:  # only a round that shares a bit can be sacrificed
-            for i in np.flatnonzero(keyed[drawn]).tolist():
+            for i in np.flatnonzero(_KEYED[drawn]).tolist():
                 lost[drawn[i]] += (len(log) + i) in sacrificial
-        log.extend(map(records.__getitem__, drawn.tolist()))  # frozen, so rounds share them
+        log.extend(_RECORDS[drawn].tolist())
 
-    flags = [  # per cell: basis accepted, decider z+, unequal x outcomes
-        (r.decider is not None, r.accepted, r.accepted and r.shared_bit is None) for r in records
-    ]
-    n_basis_accepted, n_decider_plus, n_unequal = (counts @ np.array(flags)).tolist()
+    n_basis_accepted, n_decider_plus, n_unequal = (counts @ _FLAGS).tolist()
     key_bits: dict[tuple[int, int], list[int]] = {}  # non-deciders: [bits, ones]
-    for (record, others), n in zip(cells, (counts - lost).tolist()):
-        if n and record.shared_bit is not None:
+    kept = (counts - lost).tolist()
+    for cell, others, bit in _KEY_CELLS:
+        if kept[cell]:
             tally = key_bits.setdefault(others, [0, 0])
-            tally[0] += n
-            tally[1] += n * record.shared_bit
+            tally[0] += kept[cell]
+            tally[1] += kept[cell] * bit
 
     report = ProtocolReport("qkd-w3-mc", seed=seed)
     report.rounds = log

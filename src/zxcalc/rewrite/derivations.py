@@ -224,6 +224,7 @@ def replay_derivation(name: str) -> Trace:
     replay = trace.replay()
     _, _, d = next(replay)
     final = reference = evaluate(d)
+    bound = DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(reference))))
     for _, _, match in steps:
         try:
             _, summary, d = next(replay)
@@ -231,7 +232,7 @@ def replay_derivation(name: str) -> Trace:
             raise ReplayError(f"{name}: step {match.summary()} failed: {exc}") from exc
         final = evaluate(d)
         residual = float(np.max(np.abs(final - reference)))
-        if residual > DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(reference)))):
+        if residual > bound:
             raise ReplayError(
                 f"{name}: step {summary} broke semantics (residual {residual:.3e})"
             )

@@ -291,7 +291,9 @@ def born_probability(state: Diagram, effects) -> float:
         raise ValueError(
             f"{len(state.outputs)} output wires but {len(effects)} effects"
         )
-    return _born_scaled(*_scaled_state(evaluate(state).reshape(-1)), effects)
+    vec, norm_sq = _scaled_state(evaluate(state).reshape(-1))
+    (p,) = _born(vec, norm_sq, [_bra(effects)])
+    return p
 
 
 def _scaled_state(vec: np.ndarray) -> tuple[np.ndarray, float]:
@@ -308,13 +310,22 @@ def _scaled_state(vec: np.ndarray) -> tuple[np.ndarray, float]:
     return vec, float(np.real(np.vdot(vec, vec)))
 
 
-def _born_scaled(vec: np.ndarray, norm_sq: float, effects: list) -> float:
-    """The Born value of ``effects`` on a state that :func:`_scaled_state` gave."""
+def _bra(effects) -> np.ndarray:
+    """The conjugated joint effect of a label sequence, the first label the
+    most significant: the outer product of the unit effects, as ``np.kron``
+    builds it, bit for bit."""
     bra = np.asarray(1.0 + 0j)
     for label in effects:
         try:
-            bra = np.multiply.outer(bra, EFFECT_VECTORS[label]).ravel()  # as np.kron, bit for bit
+            bra = np.multiply.outer(bra, EFFECT_VECTORS[label]).ravel()
         except KeyError:
             raise ValueError(f"unknown effect {label!r}") from None
-    amp = complex(np.dot(np.conj(bra), vec))
-    return float(abs(amp) ** 2 / norm_sq)
+    return np.conj(bra)
+
+
+def _born(vec: np.ndarray, norm_sq: float, bras) -> list[float]:
+    """The Born value of each :func:`_bra` in ``bras`` on a state that
+    :func:`_scaled_state` gave.  Each is its own ``np.dot``: one matrix
+    product over all the bras sums in another order, and leaves residues
+    near 1e-49 where this gives 0."""
+    return [abs(complex(np.dot(bra, vec))) ** 2 / norm_sq for bra in bras]

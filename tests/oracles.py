@@ -170,17 +170,54 @@ def lhs_samples() -> list:
     return [parse_zxg(text) for text in chunks[1:]]
 
 
+def born_scaled_reference(vec: np.ndarray, norm_sq: float, effects) -> float:
+    """The Born value of ``effects`` on a state that
+    :func:`zxcalc.semantics._scaled_state` gave, one label list at a time:
+    the bra built by ``np.multiply.outer`` (as ``np.kron``), then one ``np.dot``."""
+    from zxcalc.semantics import EFFECT_VECTORS
+
+    bra = np.asarray(1.0 + 0j)
+    for label in effects:
+        bra = np.multiply.outer(bra, EFFECT_VECTORS[label]).ravel()
+    amp = complex(np.dot(np.conj(bra), vec))
+    return float(abs(amp) ** 2 / norm_sq)
+
+
+def _qkd_round_record(bases, signs):
+    """A round's record, from the protocol's rules: accepted when one wire
+    measured z and read +; then the x wires share a bit if they agree."""
+    from zxcalc.protocols import QkdRound
+
+    if bases.count("z") != 1:
+        return QkdRound(bases, signs, accepted=False)
+    decider = bases.index("z")
+    if signs[decider] == "-":
+        return QkdRound(bases, signs, accepted=False, decider=decider)
+    xs = {signs[k] for k in range(3) if k != decider}
+    bit = "+-".index(xs.pop()) if len(xs) == 1 else None
+    return QkdRound(bases, signs, accepted=True, decider=decider, shared_bit=bit)
+
+
 def qkd_simulate_per_round(rounds: int, seed: int = 0, eavesdrop_checks=None):
     """:func:`zxcalc.protocols.qkd_simulate` drawn a round at a time: three
     ``rng.choice("zx")`` calls, then ``bisect_right`` of ``rng.random()`` into
-    the basis triple's running Born sums.  The same report, by another route."""
-    from zxcalc.protocols import ProtocolReport, _round_table, _scaled_state, evaluate, w_state
+    the basis triple's running Born sums (:func:`born_scaled_reference`, added
+    one at a time).  The same report, by another route."""
+    from zxcalc.protocols import ProtocolReport, _scaled_state, evaluate, w_state
 
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     rng = random.Random(seed)
     w_scaled = _scaled_state(evaluate(w_state()).reshape(-1))
-    tables = {bases: _round_table(w_scaled, bases) for bases in product("zx", repeat=3)}
+    tables = {}  # bases: (running sums, [(record, non-deciders)] by outcome)
+    for bases in product("zx", repeat=3):
+        sums, records, acc = [], [], 0.0
+        for signs in product("+-", repeat=3):
+            acc += born_scaled_reference(*w_scaled, [b + s for b, s in zip(bases, signs)])
+            sums.append(acc)
+            record = _qkd_round_record(bases, signs)
+            records.append((record, tuple(k for k in range(3) if k != record.decider)))
+        tables[bases] = sums, records
     sacrificial = set(eavesdrop_checks or ())
 
     n_basis_accepted = n_decider_plus = n_unequal = n_sacrificed = 0

@@ -87,6 +87,30 @@ def test_scalar_immutable():
         s.power = 2
 
 
+def test_copy_and_pickle_keep_the_value():
+    """Copies of an immutable ``Phase`` are the phase itself, a pickle round
+    trip rebuilds it through ``__init__``, and so a ``Scalar`` and a whole
+    diagram copy and pickle too."""
+    import copy
+    import pickle
+
+    from zxcalc.protocols import w_state
+    from zxcalc.semantics import evaluate
+
+    p = Phase(7, 4)
+    assert copy.copy(p) is p and copy.deepcopy(p) is p
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and (back.num, back.den) == (7, 4)
+    s = Scalar(3, Phase(1, 2), (Phase(0), Phase(1, 3)))
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and complex(twin) == complex(s)
+    w = w_state()
+    twin = copy.deepcopy(w)
+    assert twin.phases == w.phases and twin is not w
+    assert evaluate(twin).tobytes() == evaluate(w).tobytes()
+    assert evaluate(pickle.loads(pickle.dumps(w))).tobytes() == evaluate(w).tobytes()
+
+
 # ints on both sides of zero and past 2**64, where a shortcut through fixed
 # width arithmetic would wrap
 _INTS = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)

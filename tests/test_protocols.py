@@ -548,3 +548,65 @@ def test_ghz_class_index_must_be_an_integer():
     assert np.array_equal(evaluate(ghz_class_state(np.int64(3))), evaluate(ghz_class_state(3)))
     with pytest.raises(ValueError, match="0..7"):
         sdc_decode(np.int64(8))
+
+
+# ----------------------------------------------------------------------
+# Born values: the one-pass table against the per-label reference
+
+
+def test_born_table_equals_the_per_label_reference(monkeypatch):
+    """``_born`` over the constant ``_BRAS`` gives, cell by cell and bit for
+    bit, what building each bra from its labels and taking one ``np.dot``
+    gives: on the W state and on 20 seeded random 3-qubit states, for the
+    running sums the simulator draws against, for ``born_probability`` on
+    all 64 label triples, and for the 12 lemma (b) values."""
+    from zxcalc import protocols
+    from zxcalc.protocols import _BRAS, _LABELS
+    from zxcalc.semantics import _born, _scaled_state
+
+    from oracles import born_scaled_reference
+
+    rng = np.random.default_rng(5)
+    states = [evaluate(w_state()).reshape(-1)]
+    states += [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(20)]
+    for vec in states:
+        scaled = _scaled_state(vec)
+        ours = _born(*scaled, _BRAS)
+        ref = [born_scaled_reference(*scaled, labels) for labels in _LABELS]
+        assert [p.hex() for p in ours] == [p.hex() for p in ref]
+        running = [acc for row in np.reshape(ref, (8, 8)) for acc in itertools.accumulate(row)]
+        sums = np.cumsum(np.reshape(ours, (8, 8)), axis=1).ravel().tolist()
+        assert [p.hex() for p in sums] == [p.hex() for p in running]
+
+    w = w_state()
+    w_scaled = _scaled_state(evaluate(w).reshape(-1))
+    for labels in _LABELS:
+        assert born_probability(w, labels).hex() == born_scaled_reference(*w_scaled, labels).hex()
+
+    seen = []
+
+    def recording_born(vec, norm_sq, bras):
+        values = _born(vec, norm_sq, bras)
+        seen.extend(zip(map(tuple, bras), values))
+        return values
+
+    monkeypatch.setattr(protocols, "_born", recording_born)
+    assert qkd_check_lemmas().passed
+    assert len(seen) == 12
+    for bra, value in seen:
+        labels = _LABELS[[tuple(row) for row in _BRAS].index(bra)]
+        assert labels.count("z+") == 1 and all(label[0] == "x" for label in labels if label != "z+")
+        assert value.hex() == born_scaled_reference(*w_scaled, labels).hex()
+
+
+def test_qkd_simulate_matches_per_round_loop_at_chunk_edges():
+    # one round short of, exactly at and one past the default chunk, and a
+    # count that takes three whole chunks and one round more
+    from zxcalc import protocols
+
+    assert protocols._CHUNK == 2048
+    for seed in range(10):
+        for rounds in (2047, 2048, 2049, 6145):
+            _assert_same_as_per_round(rounds, seed)
+            checks = range(seed, rounds + 5, 3)
+            _assert_same_as_per_round(rounds, seed, checks)
